@@ -14,8 +14,9 @@ table, curves, fits) stays independently inspectable:
 Exit codes: 0 success, 1 I/O or configuration error, 2 empty result,
 3 insufficient data for a fit. All outputs are UTF-8 with Unix line endings
 and fixed numeric formatting, so a rerun with identical inputs and options
-is byte-identical. Randomized commands take ``--seed`` (default 0) and print
-the seed they used.
+is byte-identical; each is replaced atomically, so a failed command leaves
+the previous file, or none. Randomized commands take ``--seed`` (default 0)
+and print the seed they used.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ import os
 import sys
 from collections import Counter
 from contextlib import ExitStack
+from functools import partial
 from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .crawl import CorpusStore, CrawlPolicy, crawl
 from .errors import ContseqError, EmptyInputError, InsufficientDataError
-from .ingest import (ExclusionPolicy, IngestReport, MalformedRecord,
+from .files import opened, writing
+from .ingest import (ExclusionPolicy, IngestReport, MalformedRecord, corpus_lines,
                      filter_record, parse_record_line, write_corpus)
 from .mapping import load_aliases, map_to_sequence, parse_sequence, render_sequence
 from .model import ContinentTable, default_table, load_continent_table
@@ -52,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer >= 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _load_table(continents: str | None, aliases: str | None) -> ContinentTable:
@@ -78,27 +89,27 @@ def _parse_fit_range(text: str | None) -> tuple[int | None, int | None]:
     return lo, hi
 
 
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    with writing(path) as sink:
+        sink.writelines(line + "\n" for line in lines)
+
+
+def _read_sequences(path: str) -> Iterator[str]:
+    """The non-blank lines of a sequences file, stripped."""
+    with opened(path) as source:
+        yield from filter(None, map(str.strip, source))
+
+
 # ---------------------------------------------------------------------------
 # map
 
-_WORKER: dict = {}
-
-
-def _map_worker_init(continents: str | None, aliases: str | None, max_affils: int):
-    _WORKER["table"] = _load_table(continents, aliases)
-    _WORKER["policy"] = ExclusionPolicy(max_affils)
-
-
-def _map_chunk(payload):
+def _map_chunk(table: ContinentTable, policy: ExclusionPolicy, payload):
     start_line, lines = payload
-    table, policy = _WORKER["table"], _WORKER["policy"]
     report = IngestReport()
     sequences: list[str] = []
     notices: list[MalformedRecord] = []
-    for offset, line in enumerate(lines):
-        if not line.strip():
-            continue
-        item = parse_record_line(line, start_line + offset)
+    for line_number, line in corpus_lines(lines, start_line):
+        item = parse_record_line(line, line_number)
         if isinstance(item, MalformedRecord):
             report.rejected_malformed += 1
             if len(notices) < _MAX_MALFORMED_WARNINGS:
@@ -111,12 +122,9 @@ def _map_chunk(payload):
     return sequences, report, notices
 
 
-def _line_chunks(handle, chunk_lines=_CHUNK_LINES):
+def _line_chunks(handle):
     start = 1
-    while True:
-        lines = list(islice(handle, chunk_lines))
-        if not lines:
-            return
+    while lines := list(islice(handle, _CHUNK_LINES)):
         yield start, lines
         start += len(lines)
 
@@ -125,21 +133,20 @@ def cmd_map(args) -> int:
     """Parse a corpus file, apply the exclusion rules, and write one
     canonical sequence per accepted record plus a report."""
     out = _out_dir(args)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+    # Built here, not in the workers: a pool whose workers fail to start
+    # respawns them forever.
+    work = partial(_map_chunk, _load_table(args.continents, args.aliases),
+                   ExclusionPolicy(args.max_affils))
+    threads = args.threads or os.cpu_count() or 1
     report = IngestReport()
     warned = 0
     with ExitStack() as stack:
-        source = stack.enter_context(open(args.input, encoding="utf-8"))
-        sink = stack.enter_context(open(out / "sequences.txt", "w",
-                                        encoding="utf-8", newline="\n"))
+        source = stack.enter_context(opened(args.input, binary=True))
+        sink = stack.enter_context(writing(out / "sequences.txt"))
         if threads > 1:
-            pool = stack.enter_context(Pool(
-                threads, initializer=_map_worker_init,
-                initargs=(args.continents, args.aliases, args.max_affils)))
-            results = pool.imap(_map_chunk, _line_chunks(source))
+            results = stack.enter_context(Pool(threads)).imap(work, _line_chunks(source))
         else:
-            _map_worker_init(args.continents, args.aliases, args.max_affils)
-            results = map(_map_chunk, _line_chunks(source))
+            results = map(work, _line_chunks(source))
         for sequences, part, notices in results:
             sink.writelines(s + "\n" for s in sequences)
             report = report.merge(part)
@@ -151,8 +158,8 @@ def cmd_map(args) -> int:
     if report.rejected_malformed > warned:
         print(f"warning: {report.rejected_malformed - warned} more malformed lines",
               file=sys.stderr)
-    (out / "ingest_report.json").write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with writing(out / "ingest_report.json") as sink:
+        sink.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     print(f"accepted {report.accepted} of {report.total} records "
           f"({report.rejected_malformed} malformed, "
           f"{report.rejected_too_many_affiliations} too many affiliations, "
@@ -166,16 +173,8 @@ def cmd_map(args) -> int:
 def cmd_rank(args) -> int:
     """Aggregate a sequences file into the rank,sequence,count,percent table."""
     out = _out_dir(args)
-    texts: Counter[str] = Counter()
-    with open(args.input, encoding="utf-8") as source:
-        for line in source:
-            text = line.strip()
-            if text:
-                texts[text] += 1
-    if not texts:
-        raise EmptyInputError("no sequences in input")
     counts: dict = {}
-    for text, n in texts.items():
+    for text, n in Counter(_read_sequences(args.input)).items():
         sequence = parse_sequence(text)
         counts[sequence] = counts.get(sequence, 0) + n
     table = RankTable.from_counts(counts)
@@ -199,8 +198,8 @@ def cmd_fit_zipf(args) -> int:
                    max_rank=max_rank, method=args.fit_method)
     sensitivity = zipf_sensitivity(table, min_count=args.fit_min_count,
                                    method=args.fit_method)
-    (out / "zipf_fit.txt").write_text(format_fit_report(fit, sensitivity),
-                                      encoding="utf-8")
+    with writing(out / "zipf_fit.txt") as sink:
+        sink.write(format_fit_report(fit, sensitivity))
     print(f"zipf exponent {fit.exponent:.6f} +/- {fit.uncertainty:.6f} "
           f"(ranks {fit.fit_range[0]:g}..{fit.fit_range[1]:g}, "
           f"r^2 {fit.r_squared:.4f})")
@@ -210,19 +209,17 @@ def cmd_fit_zipf(args) -> int:
 def cmd_heap(args) -> int:
     """Sample the vocabulary-growth curve of a sequences file and fit it."""
     out = _out_dir(args)
-    with open(args.input, encoding="utf-8") as source:
-        corpus = [line.strip() for line in source if line.strip()]
+    corpus = list(_read_sequences(args.input))
     if not corpus:
         raise EmptyInputError("no sequences in input")
     print(f"seed {args.seed}")
-    sizes = None
-    if args.heap_points:
-        sizes = default_sample_sizes(len(corpus), points=args.heap_points)
+    sizes = default_sample_sizes(len(corpus), points=args.heap_points)
     curve = heap_curve(corpus, sample_sizes=sizes, repeats=args.heap_repeats,
                        seed=args.seed)
     write_heap_file(curve, out / "heap_curve.csv")
     fit = fit_heap(curve)
-    (out / "heap_fit.txt").write_text(format_fit_report(fit), encoding="utf-8")
+    with writing(out / "heap_fit.txt") as sink:
+        sink.write(format_fit_report(fit))
     print(f"heap exponent {fit.exponent:.6f} +/- {fit.uncertainty:.6f} "
           f"(N {fit.fit_range[0]:g}..{fit.fit_range[1]:g})")
     return 0
@@ -254,16 +251,13 @@ def cmd_crawl(args) -> int:
                          min_last_publication_year=args.min_year,
                          collect_pruned_publications=not args.drop_pruned_pubs)
     result = crawl(store, args.seed_author, policy)
-    with open(out / "crawl_distances.csv", "w", encoding="utf-8", newline="\n") as sink:
-        sink.write("author_id,distance\n")
-        for author, distance in sorted(result.distances.items(), key=lambda kv: (kv[1], kv[0])):
-            sink.write(f"{author},{distance}\n")
-    with open(out / "crawl_pruned.csv", "w", encoding="utf-8", newline="\n") as sink:
-        sink.write("author_id,reason\n")
-        for author in sorted(result.frontier_pruned):
-            sink.write(f"{author},{result.frontier_pruned[author].value}\n")
-    with open(out / "crawl_publications.txt", "w", encoding="utf-8", newline="\n") as sink:
-        sink.writelines(pub + "\n" for pub in sorted(result.publication_ids))
+    by_distance = sorted(result.distances.items(), key=lambda kv: (kv[1], kv[0]))
+    _write_lines(out / "crawl_distances.csv", ["author_id,distance"] + [
+        f"{author},{distance}" for author, distance in by_distance])
+    _write_lines(out / "crawl_pruned.csv", ["author_id,reason"] + [
+        f"{author},{result.frontier_pruned[author].value}"
+        for author in sorted(result.frontier_pruned)])
+    _write_lines(out / "crawl_publications.txt", sorted(result.publication_ids))
     expanded = len(result.distances) - len(result.frontier_pruned)
     print(f"visited {len(result.distances)} authors ({expanded} expanded, "
           f"{len(result.frontier_pruned)} pruned); "
@@ -275,9 +269,7 @@ def cmd_crawl(args) -> int:
 # plotdata
 
 def _write_points(path: Path, xs, ys) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as sink:
-        for x, y in zip(xs, ys):
-            sink.write(f"{x:g}\t{_POINT_FORMAT % y}\n")
+    _write_lines(path, (f"{x:g}\t{_POINT_FORMAT % y}" for x, y in zip(xs, ys)))
 
 
 def cmd_plotdata(args) -> int:
@@ -328,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--continents", help="territory table CSV (default: built-in)")
     p.add_argument("--aliases", help="alias table CSV")
-    p.add_argument("--max-affils", type=int, default=5,
+    p.add_argument("--max-affils", type=_count, default=5,
                    help="reject records where an author has more affiliations")
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=_count,
                    help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_map)
 
@@ -352,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heap", help="sample and fit the vocabulary-growth curve")
     p.add_argument("--input", required=True, help="sequences file, one per line")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--heap-points", type=int, default=20,
+    p.add_argument("--heap-points", type=_count, default=20,
                    help="log-spaced sample sizes")
-    p.add_argument("--heap-repeats", type=int, default=5)
+    p.add_argument("--heap-repeats", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_heap)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus with a known "
                                    "Zipfian distribution")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--vocab", type=int, default=1000, help="distinct sequence types")
+    p.add_argument("--vocab", type=_count, default=1000, help="distinct sequence types")
     p.add_argument("--exponent", type=float, default=1.9)
     p.add_argument("--size", type=int, default=10000, help="number of records")
     p.add_argument("--seed", type=int, default=0)
@@ -373,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--seed-author", required=True, help="author id to start from")
     p.add_argument("--max-distance", type=int, default=6)
-    p.add_argument("--min-pubs", type=int, default=50)
+    p.add_argument("--min-pubs", type=_count, default=50)
     p.add_argument("--min-year", type=int, default=2015)
     p.add_argument("--drop-pruned-pubs", action="store_true",
                    help="do not collect pruned authors' publications")
@@ -392,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (exit 1) or --help
+        return exc.code
     try:
         return args.func(args)
     except EmptyInputError as exc:

@@ -12,9 +12,10 @@ The corpus file format is line-delimited JSON, one publication per line:
 ``schema_version`` is required and must currently be 1. ``country`` may be
 omitted (or null) when the source data does not identify one; such records
 are later rejected as country-unidentifiable rather than malformed. Unknown
-extra fields are ignored. Blank lines are skipped. Malformed lines never
-abort a run: they come back as :class:`MalformedRecord` notices and are
-tallied in the :class:`IngestReport`.
+extra fields are ignored. Blank lines are skipped. Malformed lines, and
+lines that are not valid UTF-8, never abort a run: they come back as
+:class:`MalformedRecord` notices and are tallied in the
+:class:`IngestReport`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator
 
+from .files import Sink, Source, opened, writing
 from .model import Affiliation, AuthorRecord, ContinentTable, PublicationRecord
 
 SCHEMA_VERSION = 1
-
-LineSource = Union[str, Path, IO[str], Iterable[str]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,10 +149,14 @@ def _record_from_obj(obj) -> PublicationRecord:
     return PublicationRecord(pub_id, year, tuple(authors))
 
 
-def parse_record_line(line: str, line_number: int = 0) -> PublicationRecord | MalformedRecord:
-    """Parse one corpus line; schema violations become notices, not errors."""
+def parse_record_line(line: str | bytes,
+                      line_number: int = 0) -> PublicationRecord | MalformedRecord:
+    """Parse one corpus line (bytes are decoded as UTF-8); schema violations
+    become notices, not errors."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except UnicodeDecodeError as exc:
+        return MalformedRecord(line_number, f"invalid UTF-8: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         return MalformedRecord(line_number, f"invalid JSON: {exc.msg}")
     try:
@@ -162,26 +165,33 @@ def parse_record_line(line: str, line_number: int = 0) -> PublicationRecord | Ma
         return MalformedRecord(line_number, str(exc))
 
 
-def _iter_lines(source: LineSource) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            yield from handle
-    else:
-        yield from source
+def corpus_lines(lines: Iterable[str | bytes],
+                 start: int = 1) -> Iterator[tuple[int, str | bytes]]:
+    """Number the lines from ``start``, decode bytes as UTF-8 and drop blank
+    lines. A line that does not decode is passed on as bytes, for
+    :func:`parse_record_line` to report."""
+    for line_number, line in enumerate(lines, start):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                yield line_number, line
+                continue
+        if line.strip():
+            yield line_number, line
 
 
-def parse_corpus(source: LineSource) -> Iterator[PublicationRecord | MalformedRecord]:
+def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord]:
     """Stream records from a corpus file in input order.
 
     Yields :class:`PublicationRecord` for well-formed lines and
     :class:`MalformedRecord` (carrying the 1-based line number) otherwise.
-    An unreadable source raises the underlying OSError; a malformed line
-    never stops the stream.
+    A file is read as bytes and split on newlines only. An unreadable source
+    raises the underlying OSError; a malformed line never stops the stream.
     """
-    for line_number, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        yield parse_record_line(line, line_number)
+    with opened(source, binary=True) as lines:
+        for line_number, line in corpus_lines(lines):
+            yield parse_record_line(line, line_number)
 
 
 def filter_record(record: PublicationRecord, policy: ExclusionPolicy,
@@ -220,14 +230,12 @@ def record_to_json(record: PublicationRecord) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def write_corpus(records: Iterable[PublicationRecord], sink: str | Path | TextIO) -> int:
+def write_corpus(records: Iterable[PublicationRecord], sink: Sink) -> int:
     """Write records to a corpus file; returns the number written."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            return write_corpus(records, handle)
     count = 0
-    for record in records:
-        sink.write(record_to_json(record))
-        sink.write("\n")
-        count += 1
+    with writing(sink) as handle:
+        for record in records:
+            handle.write(record_to_json(record))
+            handle.write("\n")
+            count += 1
     return count

@@ -13,8 +13,9 @@ import re
 from collections import Counter
 
 from .errors import ContractViolationError, SequenceFormatError, TableFormatError, TableValidationError
+from .files import Source, read_csv
 from .model import (AuthorRecord, Continent, ContinentSequence, ContinentTable,
-                    PublicationRecord, RowSource, _iter_rows, normalize_label)
+                    PublicationRecord, normalize_label)
 
 
 def author_countries(author: AuthorRecord, table: ContinentTable) -> frozenset[str]:
@@ -104,7 +105,7 @@ def parse_sequence(text: str) -> ContinentSequence:
         raise SequenceFormatError(f"invalid sequence {text!r}: {exc}") from None
 
 
-def load_aliases(source: RowSource) -> dict[str, str]:
+def load_aliases(source: Source) -> dict[str, str]:
     """Load an ``alias,canonical_label`` table.
 
     Aliased labels are rewritten to their canonical label before continent
@@ -115,18 +116,7 @@ def load_aliases(source: RowSource) -> dict[str, str]:
     """
     aliases: dict[str, str] = {}
     seen: set[str] = set()
-    rows = _iter_rows(source)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise TableFormatError("row 1: missing 'alias,canonical_label' header row") from None
-    if [normalize_label(c) for c in header] != ["alias", "canonical_label"]:
-        raise TableFormatError("row 1: expected header 'alias,canonical_label'")
-    for row_no, row in enumerate(rows, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise TableFormatError(f"row {row_no}: expected 2 columns, got {len(row)}")
+    for row_no, row in read_csv(source, "alias,canonical_label", TableFormatError):
         alias, target = row[0].strip(), row[1].strip()
         if not alias or not target:
             raise TableFormatError(f"row {row_no}: empty alias or target")

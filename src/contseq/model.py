@@ -7,22 +7,18 @@ worker processes or threads.
 
 from __future__ import annotations
 
-import csv
 import enum
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from importlib import resources
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import Mapping
 
 from .errors import TableFormatError, TableValidationError
+from .files import Source, read_csv
 
 _WS = re.compile(r"\s+")
-
-# A "row source" for table loaders: a path, an open text stream, or raw lines.
-RowSource = Union[str, Path, IO[str], Iterable[str]]
 
 
 def normalize_label(text: str) -> str:
@@ -31,6 +27,7 @@ def normalize_label(text: str) -> str:
     return _WS.sub(" ", text.strip()).casefold()
 
 
+@total_ordering
 class Continent(enum.Enum):
     """The six continents of the analysis, declared in canonical
     (alphabetical) order. Antarctica is deliberately not a member."""
@@ -54,21 +51,6 @@ class Continent(enum.Enum):
         if not isinstance(other, Continent):
             return NotImplemented
         return _CONTINENT_ORDER[self] < _CONTINENT_ORDER[other]
-
-    def __le__(self, other):
-        if not isinstance(other, Continent):
-            return NotImplemented
-        return _CONTINENT_ORDER[self] <= _CONTINENT_ORDER[other]
-
-    def __gt__(self, other):
-        if not isinstance(other, Continent):
-            return NotImplemented
-        return _CONTINENT_ORDER[self] > _CONTINENT_ORDER[other]
-
-    def __ge__(self, other):
-        if not isinstance(other, Continent):
-            return NotImplemented
-        return _CONTINENT_ORDER[self] >= _CONTINENT_ORDER[other]
 
 
 #: All continents in canonical order.
@@ -218,15 +200,7 @@ class ContinentTable:
         return ContinentTable(self.entries, merged)
 
 
-def _iter_rows(source: RowSource) -> Iterator[list[str]]:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
-            yield from csv.reader(handle)
-    else:
-        yield from csv.reader(source)
-
-
-def load_continent_table(source: RowSource) -> ContinentTable:
+def load_continent_table(source: Source) -> ContinentTable:
     """Load a territory-to-continent table.
 
     The source must be comma-separated text with a ``territory,continent``
@@ -237,18 +211,7 @@ def load_continent_table(source: RowSource) -> ContinentTable:
     """
     entries: dict[str, Continent] = {}
     seen: set[str] = set()
-    rows = _iter_rows(source)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise TableFormatError("row 1: missing 'territory,continent' header row") from None
-    if [normalize_label(c) for c in header] != ["territory", "continent"]:
-        raise TableFormatError("row 1: expected header 'territory,continent'")
-    for row_no, row in enumerate(rows, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise TableFormatError(f"row {row_no}: expected 2 columns, got {len(row)}")
+    for row_no, row in read_csv(source, "territory,continent", TableFormatError):
         label, continent_name = row[0].strip(), row[1].strip()
         if not label:
             raise TableFormatError(f"row {row_no}: empty territory label")

@@ -10,17 +10,16 @@ distinct sequences; sampling is bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence, TextIO, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import optimize, stats as scipy_stats
 
 from .errors import EmptyInputError, InsufficientDataError
+from .files import Sink, Source, read_csv, writing
 from .mapping import parse_sequence, render_sequence
 from .model import ContinentSequence
 
@@ -103,10 +102,7 @@ def build_rank_table(sequences: Iterable[ContinentSequence]) -> RankTable:
     Permutation-invariant in the input; raises
     :class:`~contseq.errors.EmptyInputError` on an empty stream.
     """
-    counts = Counter(sequences)
-    if not counts:
-        raise EmptyInputError("no sequences to rank")
-    return RankTable.from_counts(counts)
+    return RankTable.from_counts(Counter(sequences))
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,44 +335,25 @@ RANK_FILE_HEADER = "rank,sequence,count,percent"
 HEAP_FILE_HEADER = "n,v,repeats,v_mean,v_sd"
 
 
-def write_rank_file(table: RankTable, sink: str | Path | TextIO) -> None:
+def write_rank_file(table: RankTable, sink: Sink) -> None:
     """Write the ``rank,sequence,count,percent`` file (sequence quoted,
     percent with two decimals)."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            write_rank_file(table, handle)
-        return
-    sink.write(RANK_FILE_HEADER + "\n")
-    for entry in table.entries:
-        text = render_sequence(entry.sequence)
-        sink.write(f'{entry.rank},"{text}",{entry.count},{100.0 * entry.frequency:.2f}\n')
+    with writing(sink) as handle:
+        handle.write(RANK_FILE_HEADER + "\n")
+        for entry in table.entries:
+            text = render_sequence(entry.sequence)
+            handle.write(f'{entry.rank},"{text}",{entry.count},{100.0 * entry.frequency:.2f}\n')
 
 
-def read_rank_file(source: Union[str, Path, IO[str]]) -> RankTable:
+def read_rank_file(source: Source) -> RankTable:
     """Read a rank file back into a validated :class:`RankTable`.
 
     The file must carry the documented header and satisfy the rank-table
     invariants (dense ranks, non-increasing counts, canonical tie order);
     the percent column is redundant and ignored in favor of the counts.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
-            return read_rank_file(handle)
-    rows = csv.reader(source)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise EmptyInputError("rank file is empty") from None
-    if [c.strip() for c in header] != RANK_FILE_HEADER.split(","):
-        raise ValueError(f"expected header {RANK_FILE_HEADER!r}")
-    parsed: list[tuple[int, ContinentSequence, int]] = []
-    for row_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValueError(f"row {row_no}: expected 4 columns, got {len(row)}")
-        rank, count = int(row[0]), int(row[2])
-        parsed.append((rank, parse_sequence(row[1]), count))
+    parsed = [(int(rank), parse_sequence(text), int(count)) for _, (rank, text, count, _)
+              in read_csv(source, RANK_FILE_HEADER, empty=EmptyInputError)]
     if not parsed:
         raise EmptyInputError("rank file has no entries")
     total = sum(count for _, _, count in parsed)
@@ -385,36 +362,20 @@ def read_rank_file(source: Union[str, Path, IO[str]]) -> RankTable:
     return RankTable(entries, total)
 
 
-def write_heap_file(curve: HeapCurve, sink: str | Path | TextIO) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            write_heap_file(curve, handle)
-        return
-    sink.write(HEAP_FILE_HEADER + "\n")
-    for p in curve.points:
-        sink.write(f"{p.n},{p.v},{p.repeats},{p.v_mean:.6f},{p.v_sd:.6f}\n")
+def write_heap_file(curve: HeapCurve, sink: Sink) -> None:
+    with writing(sink) as handle:
+        handle.write(HEAP_FILE_HEADER + "\n")
+        for p in curve.points:
+            handle.write(f"{p.n},{p.v},{p.repeats},{p.v_mean:.6f},{p.v_sd:.6f}\n")
 
 
-def read_heap_file(source: Union[str, Path, IO[str]]) -> HeapCurve:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
-            return read_heap_file(handle)
-    rows = csv.reader(source)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise EmptyInputError("heap file is empty") from None
-    if [c.strip() for c in header] != HEAP_FILE_HEADER.split(","):
-        raise ValueError(f"expected header {HEAP_FILE_HEADER!r}")
-    points = []
-    for row in rows:
-        if not row:
-            continue
-        points.append(HeapPoint(int(row[0]), int(row[1]), int(row[2]),
-                                float(row[3]), float(row[4])))
+def read_heap_file(source: Source) -> HeapCurve:
+    points = tuple(HeapPoint(int(n), int(v), int(repeats), float(mean), float(sd))
+                   for _, (n, v, repeats, mean, sd)
+                   in read_csv(source, HEAP_FILE_HEADER, empty=EmptyInputError))
     if not points:
         raise EmptyInputError("heap file has no points")
-    return HeapCurve(tuple(points))
+    return HeapCurve(points)
 
 
 def format_fit_report(fit: FitResult, sensitivity: Sequence[FitResult] = ()) -> str:

@@ -1,0 +1,167 @@
+"""The shared file layer: opener, header-checked CSV reader, atomic writer,
+and the atomicity it gives the CLI's outputs."""
+
+import builtins
+import io
+
+import pytest
+
+from contseq import files
+from contseq.cli import main
+from contseq.errors import TableFormatError
+from contseq.files import opened, read_csv, writing
+from contseq.ingest import record_to_json
+from helpers import record
+
+
+class TestOpened:
+    def test_path_text_keeps_line_endings(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\r\nb\n")
+        with opened(path) as lines:
+            assert list(lines) == ["a\r\n", "b\n"]
+
+    def test_path_binary(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\xff\nb\n")
+        with opened(str(path), binary=True) as lines:
+            assert list(lines) == [b"a\xff\n", b"b\n"]
+
+    def test_handle_and_lines_pass_through(self):
+        handle = io.StringIO("x\n")
+        with opened(handle) as lines:
+            assert lines is handle
+        with opened(["x\n"]) as lines:
+            assert lines == ["x\n"]
+
+
+class TestReadCsv:
+    def test_rows_with_numbers_blank_rows_skipped(self):
+        rows = list(read_csv(["A, B\n", "1,2\n", "\n", "  \n", "3,4\n"], "a,b"))
+        assert rows == [(2, ["1", "2"]), (5, ["3", "4"])]
+
+    def test_wrong_header(self):
+        with pytest.raises(TableFormatError, match="row 1: expected header 'a,b'"):
+            list(read_csv(["a,c\n"], "a,b", TableFormatError))
+
+    def test_short_and_long_rows_carry_row_number(self):
+        with pytest.raises(ValueError, match="row 3: expected 2 columns, got 1"):
+            list(read_csv(["a,b\n", "1,2\n", "1\n"], "a,b"))
+        with pytest.raises(ValueError, match="row 2: expected 2 columns, got 3"):
+            list(read_csv(["a,b\n", "1,2,3\n"], "a,b"))
+
+    def test_empty_source_raises_empty_type(self):
+        with pytest.raises(ValueError, match="row 1"):
+            list(read_csv([], "a,b"))
+        with pytest.raises(LookupError, match="row 1"):
+            list(read_csv([], "a,b", empty=LookupError))
+
+    def test_quoted_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('a,b\n"x, y",2\n', encoding="utf-8")
+        assert list(read_csv(path, "a,b")) == [(2, ["x, y", "2"])]
+
+
+class TestWriting:
+    def test_replaces_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with writing(path) as sink:
+            sink.write("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("previous", [None, b"old\n"])
+    def test_exception_keeps_previous_and_removes_temp(self, tmp_path, previous):
+        path = tmp_path / "out.txt"
+        if previous is not None:
+            path.write_bytes(previous)
+        with pytest.raises(RuntimeError):
+            with writing(str(path)) as sink:
+                sink.write("partial\n")
+                raise RuntimeError("boom")
+        assert (path.read_bytes() if path.exists() else None) == previous
+        assert len(list(tmp_path.iterdir())) == (previous is not None)
+
+    def test_unix_line_endings_and_utf8(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with writing(path) as sink:
+            sink.write("Zürich\n")
+        assert path.read_bytes() == "Zürich\n".encode("utf-8")
+
+    def test_handle_passes_through_unclosed(self):
+        handle = io.StringIO()
+        with writing(handle) as sink:
+            sink.write("x")
+        assert sink is handle and handle.getvalue() == "x"
+
+
+class _FailAfterFirstLine:
+    """A write handle that raises on any write after a full line."""
+
+    def __init__(self, handle, written: list):
+        self.handle, self.written = handle, written
+
+    def write(self, text):
+        if "\n" in "".join(self.written):
+            raise RuntimeError("forced failure")
+        self.written.append(text)
+        return self.handle.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+@pytest.fixture
+def fail_after_first_line(monkeypatch):
+    """Make every file the package writes raise after its first line;
+    returns the text that reached the file."""
+    written: list[str] = []
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        handle = builtins.open(file, mode, *args, **kwargs)
+        return _FailAfterFirstLine(handle, written) if "w" in mode else handle
+
+    monkeypatch.setattr(files, "open", fake_open, raising=False)
+    return written
+
+
+@pytest.mark.parametrize("previous", [None, b"Asia (1)\nAsia (1)\n"])
+def test_failed_map_leaves_previous_sequences(tmp_path, fail_after_first_line, previous):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(record_to_json(record(f"p{i}", [["Poland"]])) + "\n"
+                              for i in range(3)), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    if previous is not None:
+        (out / "sequences.txt").write_bytes(previous)
+    with pytest.raises(RuntimeError, match="forced"):
+        main(["map", "--input", str(corpus), "--output-dir", str(out), "--threads", "1"])
+    assert fail_after_first_line == ["Europe (1)\n"]
+    assert sorted(p.name for p in out.iterdir()) == ([] if previous is None else ["sequences.txt"])
+    if previous is not None:
+        assert (out / "sequences.txt").read_bytes() == previous
+
+
+@pytest.mark.parametrize("previous", [None, b"rank,sequence,count,percent\n"])
+def test_failed_rank_leaves_previous_rank_file(tmp_path, fail_after_first_line, previous):
+    sequences = tmp_path / "sequences.txt"
+    sequences.write_text("Asia (1)\nEurope (1)\nAsia (1)\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    if previous is not None:
+        (out / "rank.csv").write_bytes(previous)
+    with pytest.raises(RuntimeError, match="forced"):
+        main(["rank", "--input", str(sequences), "--output-dir", str(out)])
+    assert fail_after_first_line == ["rank,sequence,count,percent\n"]
+    assert sorted(p.name for p in out.iterdir()) == ([] if previous is None else ["rank.csv"])
+    if previous is not None:
+        assert (out / "rank.csv").read_bytes() == previous
