@@ -14,10 +14,11 @@ from .errors import (ContractViolationError, ContseqError, EmptyInputError,
                      TableFormatError, TableValidationError,
                      UnknownAuthorError, UnknownPublicationError)
 from .ingest import (ExclusionPolicy, IngestReport, MalformedRecord,
-                     RejectReason, SCHEMA_VERSION, filter_record, parse_corpus,
-                     parse_record_line, record_to_json, write_corpus)
-from .mapping import (author_countries, load_aliases, map_to_sequence,
-                      parse_sequence, publication_countries, render_sequence)
+                     RejectReason, SCHEMA_VERSION, classify, filter_record,
+                     parse_corpus, parse_record_line, record_to_json,
+                     write_corpus)
+from .mapping import (load_aliases, map_to_sequence, parse_sequence,
+                      render_sequence)
 from .model import (Affiliation, AuthorRecord, CONTINENTS, Continent,
                     ContinentSequence, ContinentTable, PublicationRecord,
                     default_table, load_continent_table, normalize_label)
@@ -42,14 +43,13 @@ __all__ = [
     "PublicationStore", "RankEntry", "RankTable", "RejectReason",
     "SCHEMA_VERSION", "SequenceFormatError", "SyntheticSpec",
     "TableFormatError", "TableValidationError", "UnknownAuthorError",
-    "UnknownPublicationError", "author_countries", "build_rank_table",
+    "UnknownPublicationError", "build_rank_table", "classify",
     "crawl", "default_sample_sizes", "default_table", "filter_record",
     "fit_heap", "fit_zipf", "format_fit_report", "generate_corpus",
     "heap_curve", "iter_corpus", "load_aliases", "load_continent_table",
     "map_to_sequence", "normalize_label", "parse_corpus",
     "parse_record_line", "parse_sequence", "prune_reason",
-    "publication_countries", "read_heap_file", "read_rank_file",
-    "record_to_json", "render_sequence", "sample_type_indices",
-    "sequence_vocabulary", "type_probabilities", "write_corpus",
-    "write_heap_file", "write_rank_file", "zipf_sensitivity",
+    "read_heap_file", "read_rank_file", "record_to_json", "render_sequence",
+    "sample_type_indices", "sequence_vocabulary", "type_probabilities",
+    "write_corpus", "write_heap_file", "write_rank_file", "zipf_sensitivity",
 ]

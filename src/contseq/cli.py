@@ -36,8 +36,9 @@ from typing import Iterable, Iterator
 from .crawl import CorpusStore, CrawlPolicy, crawl
 from .errors import ContseqError, EmptyInputError, InsufficientDataError
 from .files import opened, writing
-from .ingest import (ExclusionPolicy, IngestReport, MalformedRecord, corpus_lines,
-                     filter_record, parse_record_line, write_corpus)
+# filter_record and map_to_sequence are unused here; bench/layers.py patches them by name.
+from .ingest import (ExclusionPolicy, IngestReport, MalformedRecord, RejectReason, classify,
+                     corpus_lines, filter_record, parse_record_line, write_corpus)
 from .mapping import load_aliases, map_to_sequence, parse_sequence, render_sequence
 from .model import ContinentTable, default_table, load_continent_table
 from .stats import (RankTable, default_sample_sizes, fit_heap, fit_zipf,
@@ -115,10 +116,10 @@ def _map_chunk(table: ContinentTable, policy: ExclusionPolicy, payload):
             if len(notices) < _MAX_MALFORMED_WARNINGS:
                 notices.append(item)
             continue
-        reason = filter_record(item, policy, table)
-        report.tally(reason)
-        if reason is None:
-            sequences.append(render_sequence(map_to_sequence(item, table)))
+        result = classify(item, policy, table)
+        report.tally(result)
+        if not isinstance(result, RejectReason):
+            sequences.append(render_sequence(result))
     return sequences, report, notices
 
 
@@ -246,6 +247,10 @@ def cmd_crawl(args) -> int:
     """Crawl the co-authorship graph of a corpus file from a seed author."""
     out = _out_dir(args)
     store = CorpusStore.from_file(args.input)
+    # any PublicationStore may stand in for the CorpusStore (bench/layers.py wraps it)
+    if skipped := getattr(store, "duplicates_skipped", 0):
+        print(f"warning: duplicate publication ids: kept the first record of each, "
+              f"skipped {skipped}", file=sys.stderr)
     policy = CrawlPolicy(max_distance=args.max_distance,
                          min_total_publications=args.min_pubs,
                          min_last_publication_year=args.min_year,
@@ -268,8 +273,13 @@ def cmd_crawl(args) -> int:
 # ---------------------------------------------------------------------------
 # plotdata
 
-def _write_points(path: Path, xs, ys) -> None:
-    _write_lines(path, (f"{x:g}\t{_POINT_FORMAT % y}" for x, y in zip(xs, ys)))
+def _write_plot(out: Path, name: str, xs, ys, fit, slope: float) -> None:
+    """x TAB y points in ``<name>_points.tsv``, the fitted line in ``<name>_fit.tsv``."""
+    scale = 10.0 ** fit.intercept
+    for kind, values in (("points", ys), ("fit", [scale * x ** slope for x in xs])):
+        _write_lines(out / f"{name}_{kind}.tsv",
+                     (f"{x:g}\t{_POINT_FORMAT % y}" for x, y in zip(xs, values)))
+    print(f"{name} plot data: {len(xs)} points, fitted exponent {fit.exponent:.6f}")
 
 
 def cmd_plotdata(args) -> int:
@@ -284,25 +294,13 @@ def cmd_plotdata(args) -> int:
         min_rank, max_rank = _parse_fit_range(args.fit_range)
         fit = fit_zipf(table, min_count=args.fit_min_count, min_rank=min_rank,
                        max_rank=max_rank)
-        ranks = [e.rank for e in table.entries]
-        _write_points(out / "rank_points.tsv", ranks,
-                      [e.frequency for e in table.entries])
-        scale = 10.0 ** fit.intercept
-        _write_points(out / "rank_fit.tsv", ranks,
-                      [scale * r ** (-fit.exponent) for r in ranks])
-        print(f"rank plot data: {len(ranks)} points, "
-              f"fitted exponent {fit.exponent:.6f}")
+        _write_plot(out, "rank", [e.rank for e in table.entries],
+                    [e.frequency for e in table.entries], fit, -fit.exponent)
     if args.heap_file:
         curve = read_heap_file(args.heap_file)
         fit = fit_heap(curve)
-        sizes = [p.n for p in curve.points]
-        _write_points(out / "heap_points.tsv", sizes,
-                      [p.v_mean for p in curve.points])
-        scale = 10.0 ** fit.intercept
-        _write_points(out / "heap_fit.tsv", sizes,
-                      [scale * n ** fit.exponent for n in sizes])
-        print(f"heap plot data: {len(sizes)} points, "
-              f"fitted exponent {fit.exponent:.6f}")
+        _write_plot(out, "heap", [p.n for p in curve.points],
+                    [p.v_mean for p in curve.points], fit, fit.exponent)
     return 0
 
 

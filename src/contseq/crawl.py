@@ -78,15 +78,26 @@ class CorpusStore:
 
     Profiles are store-wide: an author's publication count and last year are
     computed over everything in the store, not over what a crawl collects.
+    A repeated publication id raises ValueError, except in :meth:`from_file`.
     """
 
+    duplicates_skipped = 0  # records from_file skipped for a repeated publication id
+
     def __init__(self, records: Iterable[PublicationRecord]):
+        duplicates = self._index(records)
+        if duplicates:
+            raise ValueError(f"duplicate publication id {duplicates[0]!r}")
+
+    def _index(self, records: Iterable[PublicationRecord]) -> list[str]:
+        """Index the first record of each publication id; return the others' ids."""
         by_author: dict[str, set[str]] = defaultdict(set)
         by_pub: dict[str, set[str]] = {}
         years: dict[str, int] = {}
+        duplicates = []
         for record in records:
             if record.pub_id in by_pub:
-                raise ValueError(f"duplicate publication id {record.pub_id!r}")
+                duplicates.append(record.pub_id)
+                continue
             authors = {a.author_id for a in record.authors}
             by_pub[record.pub_id] = authors
             for author_id in authors:
@@ -98,6 +109,7 @@ class CorpusStore:
         self._profiles = {
             a: AuthorProfile(a, len(pubs), years[a]) for a, pubs in self._by_author.items()
         }
+        return duplicates
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CorpusStore":
@@ -105,11 +117,14 @@ class CorpusStore:
 
         The store indexes all structurally valid records: the crawl operates
         on the raw collection, and the article-exclusion rules apply later,
-        at mapping time.
+        at mapping time. Of records sharing a publication id the first is
+        kept; ``duplicates_skipped`` counts the rest.
         """
         records = (item for item in parse_corpus(path)
                    if not isinstance(item, MalformedRecord))
-        return cls(records)
+        store = cls.__new__(cls)
+        store.duplicates_skipped = len(store._index(records))
+        return store
 
     def publications_of(self, author_id: str) -> frozenset[str]:
         try:

@@ -18,8 +18,8 @@ class SequenceFormatError(ContseqError):
 
 
 class ContractViolationError(ContseqError):
-    """A record with an unresolvable country reached mapping; ingest filtering
-    must reject such records before they get here."""
+    """A record with a missing or unresolvable country reached mapping.
+    :func:`contseq.ingest.classify` turns it into COUNTRY_UNIDENTIFIABLE."""
 
 
 class UnknownAuthorError(ContseqError):

@@ -24,13 +24,24 @@ Sink = Union[str, Path, TextIO]
 @contextmanager
 def opened(source: Source, binary: bool = False) -> Iterator[Iterable]:
     """``source`` itself, or the file it names: UTF-8 text with its line
-    endings kept, or bytes when ``binary``."""
+    endings kept, or bytes when ``binary``. A file's UnicodeDecodeError
+    becomes a ValueError naming the file and its first row that does not
+    decode."""
     if not isinstance(source, (str, Path)):
         yield source
         return
     with (open(source, "rb") if binary
           else open(source, encoding="utf-8", newline="")) as handle:
-        yield handle
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            with open(source, "rb") as raw:
+                for row, line in enumerate(raw, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise ValueError(f"{source}: row {row}: invalid UTF-8") from None
+            raise
 
 
 def read_csv(source: Source, header: str, error: type[Exception] = ValueError,
@@ -40,22 +51,25 @@ def read_csv(source: Source, header: str, error: type[Exception] = ValueError,
     The first row must match ``header`` (comma-separated column names,
     compared trimmed and case-insensitively); blank rows are skipped, and
     every other row must have one cell per column. A violation raises
-    ``error`` with the 1-based row number; a source with no rows at all
-    raises ``empty`` (default: ``error``).
+    ``error`` with the 1-based row number, and the file's path when the
+    source is one; a source with no rows at all raises ``empty`` (default:
+    ``error``).
     """
     names = header.split(",")
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
     with opened(source) as lines:
         rows = csv.reader(lines)
         first = next(rows, None)
         if first is None:
-            raise (empty or error)(f"row 1: empty file, expected header {header!r}")
+            raise (empty or error)(f"{where}row 1: empty file, expected header {header!r}")
         if [cell.strip().casefold() for cell in first] != names:
-            raise error(f"row 1: expected header {header!r}")
+            raise error(f"{where}row 1: expected header {header!r}")
         for number, row in enumerate(rows, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(names):
-                raise error(f"row {number}: expected {len(names)} columns, got {len(row)}")
+                raise error(f"{where}row {number}: expected {len(names)} columns, "
+                            f"got {len(row)}")
             yield number, row
 
 

@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
+from operator import add
 from typing import Iterable, Iterator
 
+from .errors import ContractViolationError
 from .files import Sink, Source, opened, writing
-from .model import Affiliation, AuthorRecord, ContinentTable, PublicationRecord
+from .mapping import map_to_sequence
+from .model import (Affiliation, AuthorRecord, ContinentSequence, ContinentTable,
+                    PublicationRecord)
 
 SCHEMA_VERSION = 1
 
@@ -73,34 +77,22 @@ class IngestReport:
 
     @property
     def total(self) -> int:
-        return (self.accepted + self.rejected_too_many_affiliations
-                + self.rejected_country_unidentifiable + self.rejected_malformed)
+        return sum(astuple(self))
 
     def merge(self, other: "IngestReport") -> "IngestReport":
-        return IngestReport(
-            self.accepted + other.accepted,
-            self.rejected_too_many_affiliations + other.rejected_too_many_affiliations,
-            self.rejected_country_unidentifiable + other.rejected_country_unidentifiable,
-            self.rejected_malformed + other.rejected_malformed,
-        )
+        return IngestReport(*map(add, astuple(self), astuple(other)))
 
-    def tally(self, reason: RejectReason | None) -> None:
-        """Count one filtered record (None means accepted)."""
-        if reason is None:
-            self.accepted += 1
-        elif reason is RejectReason.TOO_MANY_AFFILIATIONS:
+    def tally(self, result: RejectReason | ContinentSequence | None) -> None:
+        """Count one :func:`classify` result (None, like a sequence, is accepted)."""
+        if result is RejectReason.TOO_MANY_AFFILIATIONS:
             self.rejected_too_many_affiliations += 1
-        else:
+        elif result is RejectReason.COUNTRY_UNIDENTIFIABLE:
             self.rejected_country_unidentifiable += 1
+        else:
+            self.accepted += 1
 
     def as_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "rejected_too_many_affiliations": self.rejected_too_many_affiliations,
-            "rejected_country_unidentifiable": self.rejected_country_unidentifiable,
-            "rejected_malformed": self.rejected_malformed,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 class _SchemaError(Exception):
@@ -194,24 +186,31 @@ def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord
             yield parse_record_line(line, line_number)
 
 
-def filter_record(record: PublicationRecord, policy: ExclusionPolicy,
-                  table: ContinentTable) -> RejectReason | None:
-    """Apply the exclusion rules to one structurally valid record.
+def classify(record: PublicationRecord, policy: ExclusionPolicy,
+             table: ContinentTable) -> RejectReason | ContinentSequence:
+    """The reject reason of one structurally valid record, or its continent
+    sequence when it is accepted.
 
-    Returns None when the record is accepted. The affiliation-count rule is
-    evaluated for the whole record before the country rule, so a record that
-    violates both is reported as TOO_MANY_AFFILIATIONS.
+    The affiliation-count rule is evaluated for the whole record before the
+    country rule, so a record that violates both is reported as
+    TOO_MANY_AFFILIATIONS. The country rule is the mapping itself, which
+    resolves each label once.
     """
     limit = policy.max_affiliations_per_author
     for author in record.authors:
         if len(author.affiliations) > limit:
             return RejectReason.TOO_MANY_AFFILIATIONS
-    for author in record.authors:
-        for affiliation in author.affiliations:
-            country = affiliation.country
-            if country is None or table.resolve(country) is None:
-                return RejectReason.COUNTRY_UNIDENTIFIABLE
-    return None
+    try:
+        return map_to_sequence(record, table)
+    except ContractViolationError:
+        return RejectReason.COUNTRY_UNIDENTIFIABLE
+
+
+def filter_record(record: PublicationRecord, policy: ExclusionPolicy,
+                  table: ContinentTable) -> RejectReason | None:
+    """The reject reason of :func:`classify`, or None for an accepted record."""
+    result = classify(record, policy, table)
+    return result if isinstance(result, RejectReason) else None
 
 
 def record_to_json(record: PublicationRecord) -> str:

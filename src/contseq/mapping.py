@@ -14,37 +14,8 @@ from collections import Counter
 
 from .errors import ContractViolationError, SequenceFormatError, TableFormatError, TableValidationError
 from .files import Source, read_csv
-from .model import (AuthorRecord, Continent, ContinentSequence, ContinentTable,
-                    PublicationRecord, normalize_label)
-
-
-def author_countries(author: AuthorRecord, table: ContinentTable) -> frozenset[str]:
-    """Distinct canonical country labels across one author's affiliations.
-
-    Every affiliation must carry a resolvable country; ingest filtering
-    guarantees that for accepted records, so a failure here is a
-    :class:`ContractViolationError`.
-    """
-    out = set()
-    for affiliation in author.affiliations:
-        label = affiliation.country
-        if label is None:
-            raise ContractViolationError(
-                f"author {author.author_id!r} has an affiliation without a country")
-        hit = table.resolve(label)
-        if hit is None:
-            raise ContractViolationError(
-                f"author {author.author_id!r}: unresolvable country label {label!r}")
-        out.add(hit[0])
-    return frozenset(out)
-
-
-def publication_countries(record: PublicationRecord, table: ContinentTable) -> frozenset[str]:
-    """Union of the authors' distinct-country sets (the publication's n_c countries)."""
-    out: set[str] = set()
-    for author in record.authors:
-        out |= author_countries(author, table)
-    return frozenset(out)
+from .model import (Continent, ContinentSequence, ContinentTable, PublicationRecord,
+                    normalize_label)
 
 
 def map_to_sequence(record: PublicationRecord, table: ContinentTable) -> ContinentSequence:
@@ -53,16 +24,15 @@ def map_to_sequence(record: PublicationRecord, table: ContinentTable) -> Contine
     Each continent present among the publication's distinct countries gets a
     part carrying that continent's distinct-country count; parts are ordered
     canonically (alphabetically). Permuting authors or affiliations, or
-    duplicating an author, never changes the result.
+    duplicating an author, never changes the result. Each affiliation's label
+    is resolved once; a missing or unresolvable one raises
+    :class:`ContractViolationError` naming it.
     """
     resolved: dict[str, Continent] = {}
     for author in record.authors:
         for affiliation in author.affiliations:
             label = affiliation.country
-            if label is None:
-                raise ContractViolationError(
-                    f"publication {record.pub_id!r}: affiliation without a country")
-            hit = table.resolve(label)
+            hit = None if label is None else table.resolve(label)
             if hit is None:
                 raise ContractViolationError(
                     f"publication {record.pub_id!r}: unresolvable country label {label!r}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize, stats as scipy_stats
 
 from .errors import EmptyInputError, InsufficientDataError
 from .files import Sink, Source, read_csv, writing
@@ -126,7 +125,8 @@ class FitResult:
 
 
 def _ols_loglog(x: np.ndarray, y: np.ndarray):
-    result = scipy_stats.linregress(np.log10(x), np.log10(y))
+    from scipy.stats import linregress  # imported here: it costs ~1 s, and only fits need it
+    result = linregress(np.log10(x), np.log10(y))
     return result.slope, result.stderr, result.intercept, result.rvalue ** 2
 
 
@@ -176,6 +176,7 @@ def _fit_zipf_mle(selected: list[RankEntry], used_range) -> FitResult:
     multinomial likelihood. The uncertainty comes from the observed Fisher
     information (numerical second derivative at the optimum).
     """
+    from scipy.optimize import minimize_scalar  # imported here, as in _ols_loglog
     ranks = np.array([e.rank for e in selected], dtype=np.float64)
     counts = np.array([e.count for e in selected], dtype=np.float64)
     n = counts.sum()
@@ -186,8 +187,8 @@ def _fit_zipf_mle(selected: list[RankEntry], used_range) -> FitResult:
         weights = ranks ** (-a)
         return math.log(weights.sum()) + a * mean_log
 
-    result = optimize.minimize_scalar(nll, bounds=(0.05, 20.0), method="bounded",
-                                      options={"xatol": 1e-10})
+    result = minimize_scalar(nll, bounds=(0.05, 20.0), method="bounded",
+                             options={"xatol": 1e-10})
     a_hat = float(result.x)
     h = 1e-4
     second = (nll(a_hat + h) - 2.0 * nll(a_hat) + nll(a_hat - h)) / h ** 2

@@ -1,11 +1,13 @@
 """Shared test builders: compact record construction, random co-authorship
-stores, and an independent reference implementation of the bounded crawl."""
+stores, and independent reference implementations of country resolution
+and of the bounded crawl."""
 
 from __future__ import annotations
 
 import random
 
 from contseq.crawl import CorpusStore, CrawlPolicy, CrawlResult, PruneReason
+from contseq.errors import ContractViolationError
 from contseq.mapping import parse_sequence
 from contseq.model import (Affiliation, AuthorRecord, ContinentTable,
                            PublicationRecord)
@@ -44,6 +46,34 @@ def record_for_sequence(text: str, pub_id: str, table: ContinentTable,
         assert len(pool) >= n_countries, f"table too small for {text!r}"
         countries.extend(pool[:n_countries])
     return record(pub_id, [[c] for c in countries], year)
+
+
+def author_countries(author: AuthorRecord, table: ContinentTable) -> frozenset[str]:
+    """Distinct canonical country labels across one author's affiliations.
+
+    Every affiliation must carry a resolvable country; a failure is a
+    :class:`ContractViolationError` naming the author and the label.
+    """
+    out = set()
+    for affiliation in author.affiliations:
+        label = affiliation.country
+        if label is None:
+            raise ContractViolationError(
+                f"author {author.author_id!r} has an affiliation without a country")
+        hit = table.resolve(label)
+        if hit is None:
+            raise ContractViolationError(
+                f"author {author.author_id!r}: unresolvable country label {label!r}")
+        out.add(hit[0])
+    return frozenset(out)
+
+
+def publication_countries(record: PublicationRecord, table: ContinentTable) -> frozenset[str]:
+    """Union of the authors' distinct-country sets (the publication's n_c countries)."""
+    out: set[str] = set()
+    for author in record.authors:
+        out |= author_countries(author, table)
+    return frozenset(out)
 
 
 def random_store(seed: int) -> tuple[CorpusStore, list[str]]:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contseq
 from contseq.cli import main
 from contseq.ingest import write_corpus
+from contseq.model import ContinentTable
 from golden import GOLDEN_RANK_LINES, fixture_sequences
 from helpers import coauthored, record
 
@@ -55,6 +61,23 @@ class TestMapCommand:
                      str(two), "--threads", "2"]) == 0
         assert (one / "sequences.txt").read_bytes() == (two / "sequences.txt").read_bytes()
         assert (one / "ingest_report.json").read_bytes() == (two / "ingest_report.json").read_bytes()
+
+    def test_resolves_each_affiliation_once(self, tmp_path, monkeypatch):
+        records = [record(f"p{i}", [["Poland", "Germany"], ["Japan"], ["Poland"]])
+                   for i in range(5)]
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(records, corpus)
+        calls = []
+        resolve = ContinentTable.resolve
+
+        def counted(self, label):
+            calls.append(label)
+            return resolve(self, label)
+
+        monkeypatch.setattr(ContinentTable, "resolve", counted)
+        assert main(["map", "--input", str(corpus), "--output-dir", str(tmp_path / "out"),
+                     "--threads", "1"]) == 0
+        assert len(calls) == 5 * 4
 
     def test_exclusion_override(self, tmp_path):
         source = tmp_path / "corpus.jsonl"
@@ -251,3 +274,13 @@ class TestEndToEnd:
         report = (out / "zipf_fit.txt").read_text()
         exponent = float(report.splitlines()[1].split()[1])
         assert 1.85 <= exponent <= 1.95
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported by the fits that need it, not by every command."""
+    code = ("import sys, contseq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(contseq.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

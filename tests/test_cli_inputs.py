@@ -106,6 +106,9 @@ def test_input_file_exit_code(name, tmp_path, capsys):
         assert errors == []
     else:
         assert len(errors) == 1 and errors[0].startswith("error: "), err
+        if any(kind in name for kind in ("wrong-header", "short-row", "invalid-utf8")):
+            assert errors[0].startswith(f"error: {target}: row "), err
+            assert errors[0].endswith(": invalid UTF-8") == ("invalid-utf8" in name), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -132,6 +135,21 @@ def test_zero_distance_and_size_stay_valid(tmp_path):
                  "--output-dir", str(tmp_path / "crawl")]) == 0
     assert main(["gen", "--size", "0", "--output-dir", str(tmp_path / "gen")]) == 0
     assert (tmp_path / "gen" / "corpus.jsonl").read_bytes() == b""
+
+
+def test_crawl_keeps_first_of_duplicate_ids(tmp_path, capsys):
+    outputs, warnings = [], []
+    for name, contents in (("once", GOOD_RECORD), ("twice", GOOD_RECORD * 2)):
+        corpus = tmp_path / f"{name}.jsonl"
+        corpus.write_bytes(contents)
+        out = tmp_path / name
+        assert main([*CRAWL, str(corpus), "--output-dir", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        warnings.append(capsys.readouterr().err.splitlines())
+    assert outputs[0] == outputs[1]
+    assert warnings[0] == []
+    assert len(warnings[1]) == 1 and warnings[1][0].startswith("warning: "), warnings
+    assert "skipped 1" in warnings[1][0]
 
 
 def _run_cli(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:

@@ -5,6 +5,7 @@ import pytest
 from contseq.crawl import (AuthorProfile, CorpusStore, CrawlPolicy,
                            PruneReason, crawl, prune_reason)
 from contseq.errors import UnknownAuthorError, UnknownPublicationError
+from contseq.ingest import write_corpus
 from helpers import coauthored, oracle_crawl, random_policy, random_store
 
 OPEN = CrawlPolicy(max_distance=10_000, min_total_publications=1,
@@ -37,6 +38,15 @@ class TestStore:
     def test_duplicate_publication_id(self):
         with pytest.raises(ValueError, match="duplicate"):
             CorpusStore([coauthored("p1", ["A"]), coauthored("p1", ["B"])])
+
+    def test_from_file_keeps_first_of_duplicate_ids(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus([coauthored("p1", ["A"], 2010), coauthored("p2", ["B"]),
+                      coauthored("p1", ["C"], 2019)], corpus)
+        store = CorpusStore.from_file(corpus)
+        assert store.duplicates_skipped == 1
+        assert store.authors_of("p1") == {"A"}
+        assert store.author_ids() == ("A", "B")
 
     def test_membership_round_trip(self):
         store, authors = random_store(4)

@@ -4,12 +4,13 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from contseq.errors import ContractViolationError
 from contseq.ingest import (ExclusionPolicy, IngestReport, MalformedRecord,
-                            RejectReason, SCHEMA_VERSION, filter_record,
+                            RejectReason, SCHEMA_VERSION, classify, filter_record,
                             parse_corpus, parse_record_line, record_to_json,
                             write_corpus)
-from contseq.model import PublicationRecord
-from helpers import record
+from contseq.model import ContinentSequence, PublicationRecord
+from helpers import publication_countries, record
 from strategies import publication_records
 
 
@@ -122,6 +123,23 @@ class TestFilter:
         loose = filter_record(rec, ExclusionPolicy(k + extra), table)
         if filter_record(rec, ExclusionPolicy(k), table) is None:
             assert loose is None
+
+
+class TestClassify:
+    @given(rec=publication_records(max_affiliations=7, allow_unidentifiable=True),
+           k=st.integers(1, 7))
+    def test_agrees_with_oracle(self, rec, k, table):
+        result = classify(rec, ExclusionPolicy(k), table)
+        if any(len(author.affiliations) > k for author in rec.authors):
+            assert result is RejectReason.TOO_MANY_AFFILIATIONS
+            return
+        try:
+            countries = publication_countries(rec, table)
+        except ContractViolationError:
+            assert result is RejectReason.COUNTRY_UNIDENTIFIABLE
+            return
+        assert isinstance(result, ContinentSequence)
+        assert result.total_countries == len(countries)
 
 
 class TestReport:

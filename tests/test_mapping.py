@@ -6,12 +6,10 @@ from hypothesis import given, strategies as st
 
 from contseq.errors import (ContractViolationError, SequenceFormatError,
                             TableFormatError, TableValidationError)
-from contseq.mapping import (author_countries, load_aliases, map_to_sequence,
-                             parse_sequence, publication_countries,
-                             render_sequence)
+from contseq.mapping import load_aliases, map_to_sequence, parse_sequence, render_sequence
 from contseq.model import AuthorRecord, Affiliation, Continent, ContinentSequence
 from golden import WORKED_EXAMPLES
-from helpers import record
+from helpers import author_countries, publication_countries, record
 from strategies import continent_sequences, publication_records
 
 
