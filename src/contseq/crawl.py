@@ -12,13 +12,15 @@ crawl does not continue through them. The seed itself is always expanded.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol
 
+import numpy as np
+
 from .errors import UnknownAuthorError, UnknownPublicationError
-from .ingest import MalformedRecord, parse_corpus
+from .ingest import store_fields
 from .model import PublicationRecord
 
 
@@ -76,6 +78,15 @@ class PublicationStore(Protocol):
 class CorpusStore:
     """In-memory :class:`PublicationStore` indexed from publication records.
 
+    Only each record's publication id, year and author ids are kept. Ids are
+    interned as integers (a dict from id to number and a list back, for
+    authors and for publications), and both directions of the co-authorship
+    graph are compressed sparse rows: ``int32`` members under ``int64``
+    offsets. Beyond the id strings, the index holds no Python object per
+    record, so it costs the cyclic garbage collector nothing. An author
+    listed twice in one record counts once. Queries build their
+    ``frozenset`` or :class:`AuthorProfile` on demand.
+
     Profiles are store-wide: an author's publication count and last year are
     computed over everything in the store, not over what a crawl collects.
     A repeated publication id raises ValueError, except in :meth:`from_file`.
@@ -84,31 +95,52 @@ class CorpusStore:
     duplicates_skipped = 0  # records from_file skipped for a repeated publication id
 
     def __init__(self, records: Iterable[PublicationRecord]):
-        duplicates = self._index(records)
+        duplicates = self._index(
+            (r.pub_id, r.year, [a.author_id for a in r.authors]) for r in records)
         if duplicates:
             raise ValueError(f"duplicate publication id {duplicates[0]!r}")
 
-    def _index(self, records: Iterable[PublicationRecord]) -> list[str]:
-        """Index the first record of each publication id; return the others' ids."""
-        by_author: dict[str, set[str]] = defaultdict(set)
-        by_pub: dict[str, set[str]] = {}
-        years: dict[str, int] = {}
+    def _index(self, entries: Iterable[tuple[str, int, list[str]]]) -> list[str]:
+        """Index the first ``(pub_id, year, author_ids)`` of each publication
+        id; return the other entries' ids."""
+        pub_number: dict[str, int] = {}
+        author_number: dict[str, int] = {}
+        years: list[int] = []
+        members = array("i")
+        ends = array("q")
         duplicates = []
-        for record in records:
-            if record.pub_id in by_pub:
-                duplicates.append(record.pub_id)
+        for pub_id, year, author_ids in entries:
+            if pub_id in pub_number:
+                duplicates.append(pub_id)
                 continue
-            authors = {a.author_id for a in record.authors}
-            by_pub[record.pub_id] = authors
-            for author_id in authors:
-                by_author[author_id].add(record.pub_id)
-                if author_id not in years or record.year > years[author_id]:
-                    years[author_id] = record.year
-        self._by_author = {a: frozenset(p) for a, p in by_author.items()}
-        self._by_pub = {p: frozenset(a) for p, a in by_pub.items()}
-        self._profiles = {
-            a: AuthorProfile(a, len(pubs), years[a]) for a, pubs in self._by_author.items()
-        }
+            pub_number[pub_id] = len(pub_number)
+            years.append(year)
+            for author_id in dict.fromkeys(author_ids):
+                number = author_number.get(author_id)
+                if number is None:
+                    number = author_number[author_id] = len(author_number)
+                members.append(number)
+            ends.append(len(members))
+        pub_members = np.frombuffer(members, dtype=np.int32)
+        pub_offsets = np.concatenate(([0], np.frombuffer(ends, dtype=np.int64)))
+        pub_sizes = np.diff(pub_offsets)
+        order = np.argsort(pub_members, kind="stable")
+        author_members = np.repeat(np.arange(len(years), dtype=np.int32), pub_sizes)[order]
+        counts = np.bincount(pub_members, minlength=len(author_number))
+        author_offsets = np.concatenate(([0], np.cumsum(counts)))
+        # a year beyond int64 makes an object array, which maximum.at handles too
+        member_years = np.repeat(np.array(years), pub_sizes)
+        last_years = np.full(len(author_number), member_years.min(initial=0),
+                             dtype=member_years.dtype)  # no later than any year
+        np.maximum.at(last_years, pub_members, member_years)
+
+        self._pub_number, self._pub_ids = pub_number, list(pub_number)
+        self._author_number, self._author_ids = author_number, list(author_number)
+        # memoryviews index and slice to Python ints, not numpy scalars
+        self._pub_members, self._pub_offsets = memoryview(pub_members), memoryview(pub_offsets)
+        self._author_members = memoryview(author_members)
+        self._author_offsets = memoryview(author_offsets)
+        self._last_years = last_years.tolist()
         return duplicates
 
     @classmethod
@@ -120,35 +152,41 @@ class CorpusStore:
         at mapping time. Of records sharing a publication id the first is
         kept; ``duplicates_skipped`` counts the rest.
         """
-        records = (item for item in parse_corpus(path)
-                   if not isinstance(item, MalformedRecord))
         store = cls.__new__(cls)
-        store.duplicates_skipped = len(store._index(records))
+        store.duplicates_skipped = len(store._index(store_fields(path)))
         return store
 
-    def publications_of(self, author_id: str) -> frozenset[str]:
+    def _author(self, author_id: str) -> int:
         try:
-            return self._by_author[author_id]
+            return self._author_number[author_id]
         except KeyError:
             raise UnknownAuthorError(f"unknown author {author_id!r}") from None
+
+    def publications_of(self, author_id: str) -> frozenset[str]:
+        a = self._author(author_id)
+        offsets = self._author_offsets
+        return frozenset(map(self._pub_ids.__getitem__,
+                             self._author_members[offsets[a]:offsets[a + 1]]))
 
     def authors_of(self, pub_id: str) -> frozenset[str]:
         try:
-            return self._by_pub[pub_id]
+            p = self._pub_number[pub_id]
         except KeyError:
             raise UnknownPublicationError(f"unknown publication {pub_id!r}") from None
+        offsets = self._pub_offsets
+        return frozenset(map(self._author_ids.__getitem__,
+                             self._pub_members[offsets[p]:offsets[p + 1]]))
 
     def profile(self, author_id: str) -> AuthorProfile:
-        try:
-            return self._profiles[author_id]
-        except KeyError:
-            raise UnknownAuthorError(f"unknown author {author_id!r}") from None
+        a = self._author(author_id)
+        offsets = self._author_offsets
+        return AuthorProfile(author_id, offsets[a + 1] - offsets[a], self._last_years[a])
 
     def author_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_author))
+        return tuple(sorted(self._author_ids))
 
     def publication_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_pub))
+        return tuple(sorted(self._pub_ids))
 
 
 @dataclass

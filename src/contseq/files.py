@@ -1,4 +1,5 @@
-"""The package's file layer: one opener, one CSV reader, one writer.
+"""The package's file layer: one opener, one CSV reader, one writer, and
+the row-located message their errors share.
 
 Readers take a path, an open handle, or any iterable of lines. Writers take
 a path or an open handle; a path is replaced atomically, so a command that
@@ -21,6 +22,13 @@ Source = Union[str, Path, IO[str], Iterable[str]]
 Sink = Union[str, Path, TextIO]
 
 
+def at_row(source: Source, row: int, message) -> str:
+    """``message`` located at a 1-based row of ``source``:
+    ``<path>: row N: <message>``, without the path when the source is no file."""
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
+    return f"{where}row {row}: {message}"
+
+
 @contextmanager
 def opened(source: Source, binary: bool = False) -> Iterator[Iterable]:
     """``source`` itself, or the file it names: UTF-8 text with its line
@@ -40,7 +48,7 @@ def opened(source: Source, binary: bool = False) -> Iterator[Iterable]:
                     try:
                         line.decode("utf-8")
                     except UnicodeDecodeError:
-                        raise ValueError(f"{source}: row {row}: invalid UTF-8") from None
+                        raise ValueError(at_row(source, row, "invalid UTF-8")) from None
             raise
 
 
@@ -51,25 +59,24 @@ def read_csv(source: Source, header: str, error: type[Exception] = ValueError,
     The first row must match ``header`` (comma-separated column names,
     compared trimmed and case-insensitively); blank rows are skipped, and
     every other row must have one cell per column. A violation raises
-    ``error`` with the 1-based row number, and the file's path when the
-    source is one; a source with no rows at all raises ``empty`` (default:
-    ``error``).
+    ``error`` with an :func:`at_row` message; a source with no rows at all
+    raises ``empty`` (default: ``error``). Callers report their own errors
+    in a row's cells through :func:`at_row` too.
     """
     names = header.split(",")
-    where = f"{source}: " if isinstance(source, (str, Path)) else ""
     with opened(source) as lines:
         rows = csv.reader(lines)
         first = next(rows, None)
         if first is None:
-            raise (empty or error)(f"{where}row 1: empty file, expected header {header!r}")
+            raise (empty or error)(at_row(source, 1, f"empty file, expected header {header!r}"))
         if [cell.strip().casefold() for cell in first] != names:
-            raise error(f"{where}row 1: expected header {header!r}")
+            raise error(at_row(source, 1, f"expected header {header!r}"))
         for number, row in enumerate(rows, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(names):
-                raise error(f"{where}row {number}: expected {len(names)} columns, "
-                            f"got {len(row)}")
+                raise error(at_row(source, number,
+                                   f"expected {len(names)} columns, got {len(row)}"))
             yield number, row
 
 

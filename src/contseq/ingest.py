@@ -99,7 +99,10 @@ class _SchemaError(Exception):
     pass
 
 
-def _record_from_obj(obj) -> PublicationRecord:
+def _record_from_obj(obj, lean: bool = False):
+    """The :class:`PublicationRecord` of a decoded corpus line, or with
+    ``lean`` only its ``(pub_id, year, author_ids)``; either way every schema
+    check runs, and a violation raises :class:`_SchemaError`."""
     if not isinstance(obj, dict):
         raise _SchemaError("record is not a JSON object")
     version = obj.get("schema_version")
@@ -136,8 +139,11 @@ def _record_from_obj(obj) -> PublicationRecord:
                 raise _SchemaError(f"author {i}, affiliation {j}: 'country' must be a string")
             if country is not None and not country.strip():
                 country = None
-            affiliations.append(Affiliation(institution, country))
-        authors.append(AuthorRecord(author_id, tuple(affiliations)))
+            if not lean:
+                affiliations.append(Affiliation(institution, country))
+        authors.append(author_id if lean else AuthorRecord(author_id, tuple(affiliations)))
+    if lean:
+        return pub_id, year, authors
     return PublicationRecord(pub_id, year, tuple(authors))
 
 
@@ -185,6 +191,23 @@ def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord
         for line_number, line in corpus_lines(lines):
             yield parse_record_line(line, line_number)
 
+
+
+def store_fields(source: Source) -> Iterator[tuple[str, int, list[str]]]:
+    """Stream ``(pub_id, year, author_ids)`` from a corpus file in input order.
+
+    Yields exactly the records :func:`parse_corpus` yields as
+    :class:`PublicationRecord` (the same schema checks run), but builds no
+    record; malformed lines are skipped without a notice.
+    """
+    with opened(source, binary=True) as lines:
+        for _, line in corpus_lines(lines):
+            if isinstance(line, bytes):  # not valid UTF-8
+                continue
+            try:
+                yield _record_from_obj(json.loads(line), lean=True)
+            except (json.JSONDecodeError, _SchemaError):
+                continue
 
 def classify(record: PublicationRecord, policy: ExclusionPolicy,
              table: ContinentTable) -> RejectReason | ContinentSequence:

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 
 from .errors import ContractViolationError, SequenceFormatError, TableFormatError, TableValidationError
-from .files import Source, read_csv
+from .files import Source, at_row, read_csv
 from .model import (Continent, ContinentSequence, ContinentTable, PublicationRecord,
                     normalize_label)
 
@@ -89,10 +89,10 @@ def load_aliases(source: Source) -> dict[str, str]:
     for row_no, row in read_csv(source, "alias,canonical_label", TableFormatError):
         alias, target = row[0].strip(), row[1].strip()
         if not alias or not target:
-            raise TableFormatError(f"row {row_no}: empty alias or target")
+            raise TableFormatError(at_row(source, row_no, "empty alias or target"))
         key = normalize_label(alias)
         if key in seen:
-            raise TableValidationError(f"row {row_no}: duplicate alias {alias!r}")
+            raise TableValidationError(at_row(source, row_no, f"duplicate alias {alias!r}"))
         seen.add(key)
         aliases[alias] = target
     return aliases

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Mapping
 
 from .errors import TableFormatError, TableValidationError
-from .files import Source, read_csv
+from .files import Source, at_row, read_csv
 
 _WS = re.compile(r"\s+")
 
@@ -214,15 +214,16 @@ def load_continent_table(source: Source) -> ContinentTable:
     for row_no, row in read_csv(source, "territory,continent", TableFormatError):
         label, continent_name = row[0].strip(), row[1].strip()
         if not label:
-            raise TableFormatError(f"row {row_no}: empty territory label")
+            raise TableFormatError(at_row(source, row_no, "empty territory label"))
         try:
             continent = Continent.from_name(continent_name)
         except ValueError:
             raise TableValidationError(
-                f"row {row_no}: unknown continent {continent_name!r}") from None
+                at_row(source, row_no, f"unknown continent {continent_name!r}")) from None
         key = normalize_label(label)
         if key in seen:
-            raise TableValidationError(f"row {row_no}: duplicate territory {label!r}")
+            raise TableValidationError(
+                at_row(source, row_no, f"duplicate territory {label!r}"))
         seen.add(key)
         entries[label] = continent
     return ContinentTable(entries)

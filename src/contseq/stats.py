@@ -17,8 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, InsufficientDataError
-from .files import Sink, Source, read_csv, writing
+from .errors import EmptyInputError, InsufficientDataError, SequenceFormatError
+from .files import Sink, Source, at_row, read_csv, writing
 from .mapping import parse_sequence, render_sequence
 from .model import ContinentSequence
 
@@ -125,9 +125,20 @@ class FitResult:
 
 
 def _ols_loglog(x: np.ndarray, y: np.ndarray):
-    from scipy.stats import linregress  # imported here: it costs ~1 s, and only fits need it
-    result = linregress(np.log10(x), np.log10(y))
-    return result.slope, result.stderr, result.intercept, result.rvalue ** 2
+    """Slope, its standard error, intercept and r² of a least-squares line
+    through ``(log10 x, log10 y)``: ``scipy.stats.linregress``'s arithmetic
+    and edge cases, for the three or more points every caller passes."""
+    x, y = np.log10(x), np.log10(y)
+    if x.max() == x.min():
+        raise ValueError("Cannot calculate a linear regression if all x values are identical")
+    sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
+    if sxx == 0.0 or syy == 0.0:
+        r = np.float64(np.nan if sxy == 0 else 0.0)
+    else:
+        r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    slope = sxy / sxx
+    stderr = np.sqrt((1 - r ** 2) * syy / sxx / (len(x) - 2))
+    return slope, stderr, y.mean() - slope * x.mean(), r ** 2
 
 
 def _select_entries(table: RankTable, min_count: int,
@@ -176,7 +187,7 @@ def _fit_zipf_mle(selected: list[RankEntry], used_range) -> FitResult:
     multinomial likelihood. The uncertainty comes from the observed Fisher
     information (numerical second derivative at the optimum).
     """
-    from scipy.optimize import minimize_scalar  # imported here, as in _ols_loglog
+    from scipy.optimize import minimize_scalar  # imported here: only this fit needs scipy
     ranks = np.array([e.rank for e in selected], dtype=np.float64)
     counts = np.array([e.count for e in selected], dtype=np.float64)
     n = counts.sum()
@@ -353,8 +364,13 @@ def read_rank_file(source: Source) -> RankTable:
     invariants (dense ranks, non-increasing counts, canonical tie order);
     the percent column is redundant and ignored in favor of the counts.
     """
-    parsed = [(int(rank), parse_sequence(text), int(count)) for _, (rank, text, count, _)
-              in read_csv(source, RANK_FILE_HEADER, empty=EmptyInputError)]
+    parsed = []
+    for row, (rank, text, count, _) in read_csv(source, RANK_FILE_HEADER,
+                                                 empty=EmptyInputError):
+        try:
+            parsed.append((int(rank), parse_sequence(text), int(count)))
+        except (ValueError, SequenceFormatError) as exc:
+            raise type(exc)(at_row(source, row, exc)) from None
     if not parsed:
         raise EmptyInputError("rank file has no entries")
     total = sum(count for _, _, count in parsed)
@@ -371,12 +387,16 @@ def write_heap_file(curve: HeapCurve, sink: Sink) -> None:
 
 
 def read_heap_file(source: Source) -> HeapCurve:
-    points = tuple(HeapPoint(int(n), int(v), int(repeats), float(mean), float(sd))
-                   for _, (n, v, repeats, mean, sd)
-                   in read_csv(source, HEAP_FILE_HEADER, empty=EmptyInputError))
+    points = []
+    for row, (n, v, repeats, mean, sd) in read_csv(source, HEAP_FILE_HEADER,
+                                                    empty=EmptyInputError):
+        try:
+            points.append(HeapPoint(int(n), int(v), int(repeats), float(mean), float(sd)))
+        except ValueError as exc:
+            raise ValueError(at_row(source, row, exc)) from None
     if not points:
         raise EmptyInputError("heap file has no points")
-    return HeapCurve(points)
+    return HeapCurve(tuple(points))
 
 
 def format_fit_report(fit: FitResult, sensitivity: Sequence[FitResult] = ()) -> str:

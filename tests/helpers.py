@@ -1,13 +1,15 @@
 """Shared test builders: compact record construction, random co-authorship
-stores, and independent reference implementations of country resolution
-and of the bounded crawl."""
+stores, and independent reference implementations of country resolution,
+of the publication store and of the bounded crawl."""
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
-from contseq.crawl import CorpusStore, CrawlPolicy, CrawlResult, PruneReason
-from contseq.errors import ContractViolationError
+from contseq.crawl import AuthorProfile, CorpusStore, CrawlPolicy, CrawlResult, PruneReason
+from contseq.errors import (ContractViolationError, UnknownAuthorError,
+                            UnknownPublicationError)
 from contseq.mapping import parse_sequence
 from contseq.model import (Affiliation, AuthorRecord, ContinentTable,
                            PublicationRecord)
@@ -74,6 +76,53 @@ def publication_countries(record: PublicationRecord, table: ContinentTable) -> f
     for author in record.authors:
         out |= author_countries(author, table)
     return frozenset(out)
+
+
+class OracleStore:
+    """Reference :class:`~contseq.crawl.PublicationStore`: dicts of
+    frozensets indexed from the first record of each publication id;
+    ``duplicates_skipped`` counts the others."""
+
+    def __init__(self, records):
+        by_author: dict[str, set[str]] = defaultdict(set)
+        by_pub: dict[str, frozenset[str]] = {}
+        years: dict[str, int] = {}
+        self.duplicates_skipped = 0
+        for rec in records:
+            if rec.pub_id in by_pub:
+                self.duplicates_skipped += 1
+                continue
+            authors = frozenset(a.author_id for a in rec.authors)
+            by_pub[rec.pub_id] = authors
+            for author_id in authors:
+                by_author[author_id].add(rec.pub_id)
+                if author_id not in years or rec.year > years[author_id]:
+                    years[author_id] = rec.year
+        self._by_author = {a: frozenset(p) for a, p in by_author.items()}
+        self._by_pub = by_pub
+        self._profiles = {a: AuthorProfile(a, len(pubs), years[a])
+                          for a, pubs in self._by_author.items()}
+
+    def publications_of(self, author_id: str) -> frozenset[str]:
+        if author_id not in self._by_author:
+            raise UnknownAuthorError(author_id)
+        return self._by_author[author_id]
+
+    def authors_of(self, pub_id: str) -> frozenset[str]:
+        if pub_id not in self._by_pub:
+            raise UnknownPublicationError(pub_id)
+        return self._by_pub[pub_id]
+
+    def profile(self, author_id: str) -> AuthorProfile:
+        if author_id not in self._profiles:
+            raise UnknownAuthorError(author_id)
+        return self._profiles[author_id]
+
+    def author_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self._by_author))
+
+    def publication_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self._by_pub))
 
 
 def random_store(seed: int) -> tuple[CorpusStore, list[str]]:

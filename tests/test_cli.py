@@ -284,3 +284,30 @@ def test_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_ols_fits_load_no_scipy_stats(tmp_path):
+    """The OLS fits of fit-zipf, heap and plotdata are numpy only; the MLE
+    fit still imports scipy.optimize."""
+    sequences = tmp_path / "sequences.txt"
+    write_lines(sequences, fixture_sequences())
+    out = str(tmp_path)
+    commands = [
+        ["fit-zipf", "--input", f"{out}/rank.csv", "--output-dir", out],
+        ["heap", "--input", str(sequences), "--output-dir", out, "--heap-repeats", "2"],
+        ["plotdata", "--rank-file", f"{out}/rank.csv", "--heap-file",
+         f"{out}/heap_curve.csv", "--output-dir", out],
+        ["fit-zipf", "--input", f"{out}/rank.csv", "--output-dir", out, "--fit-method", "mle"],
+    ]
+    code = ("import json, sys\n"
+            "from contseq.cli import main\n"
+            f"main(['rank', '--input', {str(sequences)!r}, '--output-dir', {out!r}])\n"
+            f"for argv in {commands!r}:\n"
+            "    print(json.dumps([main(argv), 'scipy.stats' in sys.modules,\n"
+            "                      'scipy.optimize' in sys.modules]), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(contseq.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    loaded = [json.loads(line) for line in result.stderr.splitlines()]
+    assert loaded[:3] == [[0, False, False]] * 3
+    assert loaded[3] == [0, False, True]

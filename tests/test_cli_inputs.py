@@ -64,6 +64,8 @@ CASES = {
     "rank-short-row-plot": (PLOT_RANK, RANK_HEADER + b'1,"Asia (1)",5\n', 1),
     "rank-non-numeric-fit": (FIT, RANK_HEADER + b'1,"Asia (1)",x,100.00\n', 1),
     "rank-non-numeric-plot": (PLOT_RANK, RANK_HEADER + b'x,"Asia (1)",5,100.00\n', 1),
+    "rank-non-numeric-rank-fit": (FIT, RANK_HEADER + b'x,"Asia (1)",5,100.00\n', 1),
+    "rank-unparsable-sequence-fit": (FIT, RANK_HEADER + b'1,"Asia (x)",5,100.00\n', 1),
     "rank-invalid-utf8-fit": (FIT, RANK_HEADER + b'1,"Asia (1)",5,\xff\n', 1),
     "rank-invalid-utf8-plot": (PLOT_RANK, RANK_HEADER + b'1,"Asia (1)",5,\xff\n', 1),
     "heap-missing-plot": (PLOT_HEAP, MISSING, 1),
@@ -73,18 +75,26 @@ CASES = {
     "heap-short-row-plot": (PLOT_HEAP, HEAP_HEADER + b"10,5,1\n", 1),
     "heap-non-numeric-plot": (PLOT_HEAP, HEAP_HEADER + b"10,5,1,x,0.0\n", 1),
     "heap-invalid-utf8-plot": (PLOT_HEAP, HEAP_HEADER + b"10,5,1,5.0,\xff\n", 1),
+    "heap-non-numeric-n-plot": (PLOT_HEAP, HEAP_HEADER + b"x,5,1,5.0,0.0\n", 1),
+    "heap-impossible-point-plot": (PLOT_HEAP, HEAP_HEADER + b"10,50,1,5.0,0.0\n", 1),
     "continents-missing": (CONTINENTS, MISSING, 1),
     "continents-empty": (CONTINENTS, b"", 1),
     "continents-wrong-header": (CONTINENTS, b"country,continent\n", 1),
     "continents-short-row": (CONTINENTS, b"territory,continent\nPoland\n", 1),
     "continents-unknown-continent": (CONTINENTS, b"territory,continent\nPoland,Atlantis\n", 1),
     "continents-invalid-utf8": (CONTINENTS, b"territory,continent\nPoland,Europe\xff\n", 1),
+    "continents-duplicate-territory": (CONTINENTS,
+                                       b"territory,continent\nPoland,Europe\n poland ,Europe\n", 1),
+    "continents-empty-label": (CONTINENTS, b"territory,continent\nPoland,Europe\n ,Asia\n", 1),
     "aliases-missing": (ALIASES, MISSING, 1),
     "aliases-empty": (ALIASES, b"", 1),
     "aliases-wrong-header": (ALIASES, b"alias,target\n", 1),
     "aliases-short-row": (ALIASES, b"alias,canonical_label\nUK\n", 1),
     "aliases-unknown-target": (ALIASES, b"alias,canonical_label\nUK,Narnia\n", 1),
     "aliases-invalid-utf8": (ALIASES, b"alias,canonical_label\nUK,United Kingdom\xff\n", 1),
+    "aliases-duplicate-alias": (ALIASES,
+                                b"alias,canonical_label\nUK,United Kingdom\nuk,United Kingdom\n", 1),
+    "aliases-empty-alias": (ALIASES, b"alias,canonical_label\n ,United Kingdom\n", 1),
 }
 
 
@@ -106,7 +116,10 @@ def test_input_file_exit_code(name, tmp_path, capsys):
         assert errors == []
     else:
         assert len(errors) == 1 and errors[0].startswith("error: "), err
-        if any(kind in name for kind in ("wrong-header", "short-row", "invalid-utf8")):
+        if any(kind in name for kind in ("wrong-header", "short-row", "invalid-utf8",
+                                         "non-numeric", "unparsable-", "impossible-",
+                                         "unknown-continent", "duplicate-", "empty-label",
+                                         "empty-alias")):
             assert errors[0].startswith(f"error: {target}: row "), err
             assert errors[0].endswith(": invalid UTF-8") == ("invalid-utf8" in name), err
 

@@ -1,12 +1,22 @@
+import importlib.util
+import json
 import random
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from contseq.cli import main
 from contseq.crawl import (AuthorProfile, CorpusStore, CrawlPolicy,
                            PruneReason, crawl, prune_reason)
-from contseq.errors import UnknownAuthorError, UnknownPublicationError
-from contseq.ingest import write_corpus
-from helpers import coauthored, oracle_crawl, random_policy, random_store
+from contseq.errors import ContseqError, UnknownAuthorError, UnknownPublicationError
+from contseq.ingest import MalformedRecord, parse_corpus, write_corpus
+from helpers import OracleStore, coauthored, oracle_crawl, random_policy, random_store
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+DATA = Path(__file__).resolve().parents[1] / "src" / "contseq" / "data"
 
 OPEN = CrawlPolicy(max_distance=10_000, min_total_publications=1,
                    min_last_publication_year=1900)
@@ -56,6 +66,107 @@ class TestStore:
         for pub in store.publication_ids():
             for author in store.authors_of(pub):
                 assert pub in store.publications_of(author)
+
+
+PUB_IDS = ("p0", "p1", "p2", "p3", "p4")
+AUTHOR_IDS = ("A", "B", "C", "D", "E")
+#: ways to break one record's schema; each edits the decoded object in place
+SCHEMA_BREAKS = {
+    "schema_version": lambda obj: obj.update(schema_version=2),
+    "bool_year": lambda obj: obj.update(year=True),
+    "blank_author_id": lambda obj: obj["authors"][-1].update(author_id=" "),
+    "empty_affiliations": lambda obj: obj["authors"][0].update(affiliations=[]),
+    "non_dict_affiliation": lambda obj: obj["authors"][0].update(affiliations=["x"]),
+    "blank_institution": lambda obj: obj["authors"][0]["affiliations"][0].update(
+        institution=" "),
+    "non_string_country": lambda obj: obj["authors"][-1]["affiliations"][0].update(
+        country=7),
+}
+LINE_DEFECTS = (None, None, None, None, *SCHEMA_BREAKS, "truncated", "utf8", "blank")
+
+
+@st.composite
+def store_lines(draw) -> bytes:
+    """One corpus line: mostly valid records over a small pool of ids (so
+    ids repeat and an author can be listed twice), with years that include
+    ones outside int64, else a broken one."""
+    authors = draw(st.lists(st.sampled_from(AUTHOR_IDS), min_size=1, max_size=4))
+    obj = {"schema_version": 1, "id": draw(st.sampled_from(PUB_IDS)),
+           "year": draw(st.one_of(st.integers(1990, 2030),
+                                  st.sampled_from([-40, 2 ** 63, 10 ** 20]))),
+           "authors": [{"author_id": a, "affiliations": [
+               {"institution": "I", "country": draw(st.sampled_from(["Poland", " ", None]))}]}
+               for a in authors]}
+    defect = draw(st.sampled_from(LINE_DEFECTS))
+    if defect in SCHEMA_BREAKS:
+        SCHEMA_BREAKS[defect](obj)
+    line = json.dumps(obj).encode()
+    if defect == "truncated":
+        return line[:draw(st.integers(1, len(line) - 1))]
+    if defect == "utf8":
+        return line.replace(b'"I"', b'"I\xff"')
+    if defect == "blank":
+        return draw(st.sampled_from([b"", b"  ", b"\t"]))
+    return line
+
+
+def _answer(query, key):
+    try:
+        return query(key)
+    except ContseqError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(store_lines(), max_size=25))
+def test_from_file_agrees_with_oracle(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_bytes(b"".join(line + b"\n" for line in lines))
+        store = CorpusStore.from_file(corpus)
+        oracle = OracleStore(item for item in parse_corpus(corpus)
+                             if not isinstance(item, MalformedRecord))
+    assert store.duplicates_skipped == oracle.duplicates_skipped
+    assert store.author_ids() == oracle.author_ids()
+    assert store.publication_ids() == oracle.publication_ids()
+    for author in (*AUTHOR_IDS, " "):
+        assert _answer(store.publications_of, author) == _answer(oracle.publications_of, author)
+        assert _answer(store.profile, author) == _answer(oracle.profile, author)
+    for pub in (*PUB_IDS, "p9"):
+        assert _answer(store.authors_of, pub) == _answer(oracle.authors_of, pub)
+
+
+def _bench_module(name: str):
+    """``bench/<name>.py``, imported as ``bench_<name>``."""
+    if f"bench_{name}" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[f"bench_{name}"]
+
+
+@pytest.fixture(scope="module")
+def coauthor_corpus(tmp_path_factory):
+    """A 5,000-record preferential-attachment corpus and its generator truth."""
+    corpus = _bench_module("corpus")
+    path = tmp_path_factory.mktemp("coauthor") / "corpus.jsonl"
+    truth = corpus.write_coauthor_corpus(path, 5, 5000, corpus.Geography.load(DATA))
+    return corpus, path, truth
+
+
+@pytest.mark.parametrize("min_pubs", [50, 1])
+def test_crawl_command_matches_bench_oracle(coauthor_corpus, min_pubs, tmp_path):
+    corpus, path, truth = coauthor_corpus
+    checks = _bench_module("checks")
+    seed = truth.seed_author()
+    expected = checks.oracle_crawl(truth.publications, seed, corpus.author_id,
+                                   corpus.pub_id, min_pubs=min_pubs)
+    distances = [int(line.rsplit(",", 1)[1]) for line in expected["crawl_distances.csv"][1:]]
+    assert max(distances) >= 2  # some author besides the seed is expanded
+    argv = ["crawl", "--input", str(path), "--seed-author", corpus.author_id(seed),
+            "--output-dir", str(tmp_path)]
+    assert main(argv + (["--min-pubs", "1"] if min_pubs == 1 else [])) == 0
+    assert checks.check_crawl(tmp_path, expected) == []
 
 
 class TestCrawl:
