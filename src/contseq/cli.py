@@ -22,23 +22,24 @@ and print the seed they used.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 from collections import Counter
 from contextlib import ExitStack
 from functools import partial
-from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .crawl import CorpusStore, CrawlPolicy, crawl
-from .errors import ContseqError, EmptyInputError, InsufficientDataError
-from .files import opened, writing
-# filter_record and map_to_sequence are unused here; bench/layers.py patches them by name.
-from .ingest import (ExclusionPolicy, IngestReport, MalformedRecord, RejectReason, classify,
-                     corpus_lines, filter_record, parse_record_line, write_corpus)
+from .errors import ContseqError, EmptyInputError, InsufficientDataError, SequenceFormatError
+from .files import at_row, opened, writing
+# parse_record_line, filter_record and map_to_sequence are unused here;
+# bench/layers.py patches them by name.
+from .ingest import (MAX_NOTICES, ExclusionPolicy, IngestReport, SequenceMapper,
+                     filter_record, parse_record_line, write_corpus)
 from .mapping import load_aliases, map_to_sequence, parse_sequence, render_sequence
 from .model import ContinentTable, default_table, load_continent_table
 from .stats import (RankTable, default_sample_sizes, fit_heap, fit_zipf,
@@ -48,8 +49,7 @@ from .stats import (RankTable, default_sample_sizes, fit_heap, fit_zipf,
 from .syngen import SyntheticSpec, iter_corpus
 
 _POINT_FORMAT = "%.8g"  # plot-data value precision
-_MAX_MALFORMED_WARNINGS = 5
-_CHUNK_LINES = 65536
+_RANGE_BYTES = 1 << 22  # corpus bytes per map task
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,30 +104,35 @@ def _read_sequences(path: str) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # map
 
-def _map_chunk(table: ContinentTable, policy: ExclusionPolicy, payload):
-    start_line, lines = payload
-    report = IngestReport()
-    sequences: list[str] = []
-    notices: list[MalformedRecord] = []
-    for line_number, line in corpus_lines(lines, start_line):
-        item = parse_record_line(line, line_number)
-        if isinstance(item, MalformedRecord):
-            report.rejected_malformed += 1
-            if len(notices) < _MAX_MALFORMED_WARNINGS:
-                notices.append(item)
-            continue
-        result = classify(item, policy, table)
-        report.tally(result)
-        if not isinstance(result, RejectReason):
-            sequences.append(render_sequence(result))
-    return sequences, report, notices
+def _spans(handle) -> list[tuple[int, int]]:
+    """Byte ranges ``(start, stop)`` of about ``_RANGE_BYTES`` covering a
+    seekable corpus, each ending at a newline or at EOF."""
+    size = os.fstat(handle.fileno()).st_size
+    bounds = [0]
+    for cut in range(_RANGE_BYTES, size, _RANGE_BYTES):
+        handle.seek(cut - 1)
+        handle.readline()
+        bounds.append(handle.tell())
+    return [(start, stop) for start, stop in zip(bounds, bounds[1:] + [size]) if start < stop]
 
 
-def _line_chunks(handle):
-    start = 1
-    while lines := list(islice(handle, _CHUNK_LINES)):
-        yield start, lines
-        start += len(lines)
+def _map_range(mapper: SequenceMapper, path: str, span):
+    start, stop = span
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        return mapper.map_lines(io.BytesIO(handle.read(stop - start)))
+
+
+_mapper: SequenceMapper | None = None  # a pool worker's own, kept across its ranges
+
+
+def _start_worker(mapper: SequenceMapper) -> None:
+    global _mapper
+    _mapper = mapper
+
+
+def _map_worker_range(path: str, span):
+    return _map_range(_mapper, path, span)
 
 
 def cmd_map(args) -> int:
@@ -136,26 +141,31 @@ def cmd_map(args) -> int:
     out = _out_dir(args)
     # Built here, not in the workers: a pool whose workers fail to start
     # respawns them forever.
-    work = partial(_map_chunk, _load_table(args.continents, args.aliases),
-                   ExclusionPolicy(args.max_affils))
-    threads = args.threads or os.cpu_count() or 1
+    mapper = SequenceMapper(ExclusionPolicy(args.max_affils),
+                            _load_table(args.continents, args.aliases))
     report = IngestReport()
-    warned = 0
+    warned = lines_before = 0
     with ExitStack() as stack:
         source = stack.enter_context(opened(args.input, binary=True))
         sink = stack.enter_context(writing(out / "sequences.txt"))
-        if threads > 1:
-            results = stack.enter_context(Pool(threads)).imap(work, _line_chunks(source))
+        spans = _spans(source) if source.seekable() else []
+        workers = min(args.threads or os.cpu_count() or 1, len(spans))
+        if not spans:  # a pipe (or an empty file): streamed here, in chunks of lines
+            results = map(mapper.map_lines, iter(partial(source.readlines, _RANGE_BYTES), []))
+        elif workers > 1:
+            pool = stack.enter_context(Pool(workers, _start_worker, (mapper,)))
+            results = pool.imap(partial(_map_worker_range, args.input), spans)
         else:
-            results = map(work, _line_chunks(source))
-        for sequences, part, notices in results:
-            sink.writelines(s + "\n" for s in sequences)
+            results = map(partial(_map_range, mapper, args.input), spans)
+        for sequences, part, notices, lines in results:
+            sink.write(sequences)
             report = report.merge(part)
             for notice in notices:
-                if warned < _MAX_MALFORMED_WARNINGS:
-                    print(f"warning: line {notice.line_number}: {notice.message}",
-                          file=sys.stderr)
+                if warned < MAX_NOTICES:
+                    print(f"warning: line {lines_before + notice.line_number}: "
+                          f"{notice.message}", file=sys.stderr)
                     warned += 1
+            lines_before += lines
     if report.rejected_malformed > warned:
         print(f"warning: {report.rejected_malformed - warned} more malformed lines",
               file=sys.stderr)
@@ -176,7 +186,12 @@ def cmd_rank(args) -> int:
     out = _out_dir(args)
     counts: dict = {}
     for text, n in Counter(_read_sequences(args.input)).items():
-        sequence = parse_sequence(text)
+        try:
+            sequence = parse_sequence(text)
+        except SequenceFormatError as exc:  # find the first row of the text only now
+            with opened(args.input) as lines:
+                row = next(row for row, line in enumerate(lines, 1) if line.strip() == text)
+            raise SequenceFormatError(at_row(args.input, row, exc)) from None
         counts[sequence] = counts.get(sequence, 0) + n
     table = RankTable.from_counts(counts)
     write_rank_file(table, out / "rank.csv")

@@ -23,16 +23,19 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import asdict, astuple, dataclass
-from operator import add
-from typing import Iterable, Iterator
+from operator import add, attrgetter, itemgetter, methodcaller
+from typing import Callable, Iterable, Iterator
 
 from .errors import ContractViolationError
 from .files import Sink, Source, opened, writing
-from .mapping import map_to_sequence
+from .mapping import labels_to_sequence, render_sequence
 from .model import (Affiliation, AuthorRecord, ContinentSequence, ContinentTable,
                     PublicationRecord)
 
 SCHEMA_VERSION = 1
+MAX_NOTICES = 5  # malformed-line notices SequenceMapper.map_lines returns per call
+_MEMO_SIZE = 1 << 16  # label sets a SequenceMapper remembers
+_AFFILIATIONS, _COUNTRY = itemgetter("affiliations"), methodcaller("get", "country")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +86,8 @@ class IngestReport:
         return IngestReport(*map(add, astuple(self), astuple(other)))
 
     def tally(self, result: RejectReason | ContinentSequence | None) -> None:
-        """Count one :func:`classify` result (None, like a sequence, is accepted)."""
+        """Count one :func:`classify` result; anything but a reject reason
+        (a sequence, its text, None) is accepted."""
         if result is RejectReason.TOO_MANY_AFFILIATIONS:
             self.rejected_too_many_affiliations += 1
         elif result is RejectReason.COUNTRY_UNIDENTIFIABLE:
@@ -99,10 +103,11 @@ class _SchemaError(Exception):
     pass
 
 
-def _record_from_obj(obj, lean: bool = False):
-    """The :class:`PublicationRecord` of a decoded corpus line, or with
-    ``lean`` only its ``(pub_id, year, author_ids)``; either way every schema
-    check runs, and a violation raises :class:`_SchemaError`."""
+def _checked(obj) -> tuple[str, int, list]:
+    """``(pub_id, year, authors)`` of a decoded corpus line once every schema
+    check has passed; ``authors`` is the line's own list of author objects,
+    in which a blank ``country`` is set to None. A violation raises
+    :class:`_SchemaError`."""
     if not isinstance(obj, dict):
         raise _SchemaError("record is not a JSON object")
     version = obj.get("schema_version")
@@ -114,37 +119,31 @@ def _record_from_obj(obj, lean: bool = False):
     year = obj.get("year")
     if isinstance(year, bool) or not isinstance(year, int):
         raise _SchemaError("'year' must be an integer")
-    authors_raw = obj.get("authors")
-    if not isinstance(authors_raw, list) or not authors_raw:
+    authors = obj.get("authors")
+    if not isinstance(authors, list) or not authors:
         raise _SchemaError("'authors' must be a non-empty array")
-    authors = []
-    for i, raw in enumerate(authors_raw):
-        if not isinstance(raw, dict):
+    for i, author in enumerate(authors):
+        if not isinstance(author, dict):
             raise _SchemaError(f"author {i} is not an object")
-        author_id = raw.get("author_id")
+        author_id = author.get("author_id")
         if not isinstance(author_id, str) or not author_id.strip():
             raise _SchemaError(f"author {i}: missing or empty 'author_id'")
-        affs_raw = raw.get("affiliations")
-        if not isinstance(affs_raw, list) or not affs_raw:
+        affiliations = author.get("affiliations")
+        if not isinstance(affiliations, list) or not affiliations:
             raise _SchemaError(f"author {i}: 'affiliations' must be a non-empty array")
-        affiliations = []
-        for j, aff in enumerate(affs_raw):
+        for j, aff in enumerate(affiliations):
             if not isinstance(aff, dict):
                 raise _SchemaError(f"author {i}, affiliation {j}: not an object")
             institution = aff.get("institution")
             if not isinstance(institution, str) or not institution.strip():
                 raise _SchemaError(f"author {i}, affiliation {j}: missing or empty 'institution'")
             country = aff.get("country")
-            if country is not None and not isinstance(country, str):
-                raise _SchemaError(f"author {i}, affiliation {j}: 'country' must be a string")
-            if country is not None and not country.strip():
-                country = None
-            if not lean:
-                affiliations.append(Affiliation(institution, country))
-        authors.append(author_id if lean else AuthorRecord(author_id, tuple(affiliations)))
-    if lean:
-        return pub_id, year, authors
-    return PublicationRecord(pub_id, year, tuple(authors))
+            if country is not None:
+                if not isinstance(country, str):
+                    raise _SchemaError(f"author {i}, affiliation {j}: 'country' must be a string")
+                if not country.strip():
+                    aff["country"] = None
+    return pub_id, year, authors
 
 
 def parse_record_line(line: str | bytes,
@@ -152,35 +151,22 @@ def parse_record_line(line: str | bytes,
     """Parse one corpus line (bytes are decoded as UTF-8); schema violations
     become notices, not errors."""
     try:
-        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+        pub_id, year, authors = _checked(
+            json.loads(line.decode("utf-8") if isinstance(line, bytes) else line))
     except UnicodeDecodeError as exc:
         return MalformedRecord(line_number, f"invalid UTF-8: {exc.reason} at byte {exc.start}")
-    except json.JSONDecodeError as exc:
-        return MalformedRecord(line_number, f"invalid JSON: {exc.msg}")
-    try:
-        return _record_from_obj(obj)
+    except (ValueError, RecursionError) as exc:  # also an overlong number or deep nesting
+        return MalformedRecord(line_number, f"invalid JSON: {getattr(exc, 'msg', exc)}")
     except _SchemaError as exc:
         return MalformedRecord(line_number, str(exc))
-
-
-def corpus_lines(lines: Iterable[str | bytes],
-                 start: int = 1) -> Iterator[tuple[int, str | bytes]]:
-    """Number the lines from ``start``, decode bytes as UTF-8 and drop blank
-    lines. A line that does not decode is passed on as bytes, for
-    :func:`parse_record_line` to report."""
-    for line_number, line in enumerate(lines, start):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                yield line_number, line
-                continue
-        if line.strip():
-            yield line_number, line
+    return PublicationRecord(pub_id, year, tuple(
+        AuthorRecord(author["author_id"], tuple(
+            Affiliation(aff["institution"], aff.get("country")) for aff in author["affiliations"]))
+        for author in authors))
 
 
 def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord]:
-    """Stream records from a corpus file in input order.
+    """Stream records from a corpus file in input order, skipping blank lines.
 
     Yields :class:`PublicationRecord` for well-formed lines and
     :class:`MalformedRecord` (carrying the 1-based line number) otherwise.
@@ -188,9 +174,9 @@ def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord
     raises the underlying OSError; a malformed line never stops the stream.
     """
     with opened(source, binary=True) as lines:
-        for line_number, line in corpus_lines(lines):
-            yield parse_record_line(line, line_number)
-
+        for line_number, line in enumerate(lines, 1):
+            if (line.decode("utf-8", "replace") if isinstance(line, bytes) else line).strip():
+                yield parse_record_line(line, line_number)
 
 
 def store_fields(source: Source) -> Iterator[tuple[str, int, list[str]]]:
@@ -201,13 +187,26 @@ def store_fields(source: Source) -> Iterator[tuple[str, int, list[str]]]:
     record; malformed lines are skipped without a notice.
     """
     with opened(source, binary=True) as lines:
-        for _, line in corpus_lines(lines):
-            if isinstance(line, bytes):  # not valid UTF-8
-                continue
+        for line in lines:
             try:
-                yield _record_from_obj(json.loads(line), lean=True)
-            except (json.JSONDecodeError, _SchemaError):
+                pub_id, year, authors = _checked(json.loads(line.decode("utf-8")))
+            except (ValueError, RecursionError, _SchemaError):
                 continue
+            yield pub_id, year, [author["author_id"] for author in authors]
+
+
+def _labels_or_reject(affiliation_lists: Iterable, limit: int,
+                      country: Callable) -> frozenset | RejectReason:
+    """Rule 1 for a whole record, then the set of its country labels:
+    TOO_MANY_AFFILIATIONS if one of its authors' ``affiliation_lists`` is
+    longer than ``limit``, else what ``country`` reads from each affiliation."""
+    labels = set()
+    for affiliations in affiliation_lists:
+        if len(affiliations) > limit:
+            return RejectReason.TOO_MANY_AFFILIATIONS
+        labels.update(map(country, affiliations))
+    return frozenset(labels)
+
 
 def classify(record: PublicationRecord, policy: ExclusionPolicy,
              table: ContinentTable) -> RejectReason | ContinentSequence:
@@ -217,14 +216,14 @@ def classify(record: PublicationRecord, policy: ExclusionPolicy,
     The affiliation-count rule is evaluated for the whole record before the
     country rule, so a record that violates both is reported as
     TOO_MANY_AFFILIATIONS. The country rule is the mapping itself, which
-    resolves each label once.
+    resolves each distinct label once.
     """
-    limit = policy.max_affiliations_per_author
-    for author in record.authors:
-        if len(author.affiliations) > limit:
-            return RejectReason.TOO_MANY_AFFILIATIONS
+    labels = _labels_or_reject((author.affiliations for author in record.authors),
+                               policy.max_affiliations_per_author, attrgetter("country"))
+    if labels is RejectReason.TOO_MANY_AFFILIATIONS:
+        return labels
     try:
-        return map_to_sequence(record, table)
+        return labels_to_sequence(labels, table)
     except ContractViolationError:
         return RejectReason.COUNTRY_UNIDENTIFIABLE
 
@@ -234,6 +233,53 @@ def filter_record(record: PublicationRecord, policy: ExclusionPolicy,
     """The reject reason of :func:`classify`, or None for an accepted record."""
     result = classify(record, policy, table)
     return result if isinstance(result, RejectReason) else None
+
+
+class SequenceMapper:
+    """The fused ingest: corpus lines straight to the text and report of
+    :func:`parse_corpus`, :func:`classify` and :func:`render_sequence`, but
+    with no record built. Rule 2 and the rendering are memoized by the set of
+    a record's raw country labels, for up to ``_MEMO_SIZE`` sets per mapper."""
+
+    def __init__(self, policy: ExclusionPolicy, table: ContinentTable):
+        self.policy, self.table = policy, table
+        self._memo: dict[frozenset, str | RejectReason] = {}
+
+    def map_lines(self, lines: Iterable[bytes]) -> tuple[str, IngestReport,
+                                                         list[MalformedRecord], int]:
+        """The accepted records' sequences, one per line; the report; the
+        :func:`parse_record_line` notices of the first :data:`MAX_NOTICES`
+        malformed lines, numbered from 1; and the number of lines read."""
+        limit, memo = self.policy.max_affiliations_per_author, self._memo
+        report, notices, out, number = IngestReport(), [], [], 0
+        for number, line in enumerate(lines, 1):
+            try:
+                text = line.decode("utf-8")
+                if text.isspace() or not text:
+                    continue
+                authors = _checked(json.loads(text))[2]
+            except (ValueError, RecursionError, _SchemaError):
+                report.rejected_malformed += 1
+                if len(notices) < MAX_NOTICES:
+                    notices.append(parse_record_line(line, number))
+                continue
+            result = _labels_or_reject(map(_AFFILIATIONS, authors), limit, _COUNTRY)
+            if result is not RejectReason.TOO_MANY_AFFILIATIONS:
+                result = memo[result] if result in memo else self._render(result)
+            report.tally(result)
+            if type(result) is str:
+                out.append(result)
+        return "".join(out), report, notices, number
+
+    def _render(self, labels: frozenset) -> str | RejectReason:
+        """The sequence line of a label set, or COUNTRY_UNIDENTIFIABLE."""
+        try:
+            rendered = render_sequence(labels_to_sequence(labels, self.table)) + "\n"
+        except ContractViolationError:
+            rendered = RejectReason.COUNTRY_UNIDENTIFIABLE
+        if len(self._memo) < _MEMO_SIZE:
+            self._memo[labels] = rendered
+        return rendered
 
 
 def record_to_json(record: PublicationRecord) -> str:

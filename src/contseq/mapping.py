@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from typing import Iterable
 
 from .errors import ContractViolationError, SequenceFormatError, TableFormatError, TableValidationError
 from .files import Source, at_row, read_csv
@@ -28,15 +29,23 @@ def map_to_sequence(record: PublicationRecord, table: ContinentTable) -> Contine
     is resolved once; a missing or unresolvable one raises
     :class:`ContractViolationError` naming it.
     """
+    try:
+        return labels_to_sequence((affiliation.country for author in record.authors
+                                   for affiliation in author.affiliations), table)
+    except ContractViolationError as exc:
+        raise ContractViolationError(f"publication {record.pub_id!r}: {exc}") from None
+
+
+def labels_to_sequence(labels: Iterable[str | None], table: ContinentTable) -> ContinentSequence:
+    """The sequence of a publication's country labels, each resolved once;
+    a missing (None) or unresolvable label raises
+    :class:`ContractViolationError` naming it."""
     resolved: dict[str, Continent] = {}
-    for author in record.authors:
-        for affiliation in author.affiliations:
-            label = affiliation.country
-            hit = None if label is None else table.resolve(label)
-            if hit is None:
-                raise ContractViolationError(
-                    f"publication {record.pub_id!r}: unresolvable country label {label!r}")
-            resolved[hit[0]] = hit[1]
+    for label in labels:
+        hit = None if label is None else table.resolve(label)
+        if hit is None:
+            raise ContractViolationError(f"unresolvable country label {label!r}")
+        resolved[hit[0]] = hit[1]
     counts = Counter(resolved.values())
     return ContinentSequence(tuple(sorted(counts.items())))
 

@@ -119,7 +119,7 @@ def test_input_file_exit_code(name, tmp_path, capsys):
         if any(kind in name for kind in ("wrong-header", "short-row", "invalid-utf8",
                                          "non-numeric", "unparsable-", "impossible-",
                                          "unknown-continent", "duplicate-", "empty-label",
-                                         "empty-alias")):
+                                         "empty-alias", "bad-count")):
             assert errors[0].startswith(f"error: {target}: row "), err
             assert errors[0].endswith(": invalid UTF-8") == ("invalid-utf8" in name), err
 
