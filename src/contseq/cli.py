@@ -79,17 +79,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _parse_fit_range(text: str | None) -> tuple[int | None, int | None]:
-    if text is None:
-        return None, None
-    lo_text, sep, hi_text = text.partition(":")
-    if not sep:
-        raise ValueError(f"--fit-range must look like LO:HI, got {text!r}")
-    lo = int(lo_text) if lo_text else None
-    hi = int(hi_text) if hi_text else None
-    return lo, hi
-
-
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     with writing(path) as sink:
         sink.writelines(line + "\n" for line in lines)
@@ -106,21 +95,16 @@ def _read_sequences(path: str) -> Iterator[str]:
 
 def _spans(handle) -> list[tuple[int, int]]:
     """Byte ranges ``(start, stop)`` of about ``_RANGE_BYTES`` covering a
-    seekable corpus, each ending at a newline or at EOF."""
+    seekable corpus, each ending at a newline or at EOF. Leaves the handle
+    at offset 0."""
     size = os.fstat(handle.fileno()).st_size
     bounds = [0]
     for cut in range(_RANGE_BYTES, size, _RANGE_BYTES):
         handle.seek(cut - 1)
         handle.readline()
         bounds.append(handle.tell())
+    handle.seek(0)
     return [(start, stop) for start, stop in zip(bounds, bounds[1:] + [size]) if start < stop]
-
-
-def _map_range(mapper: SequenceMapper, path: str, span):
-    start, stop = span
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        return mapper.map_lines(io.BytesIO(handle.read(stop - start)))
 
 
 _mapper: SequenceMapper | None = None  # a pool worker's own, kept across its ranges
@@ -131,8 +115,12 @@ def _start_worker(mapper: SequenceMapper) -> None:
     _mapper = mapper
 
 
-def _map_worker_range(path: str, span):
-    return _map_range(_mapper, path, span)
+def _map_range(path: str, span):
+    """A pool worker's task: map one byte range of the corpus."""
+    start, stop = span
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        return _mapper.map_lines(io.BytesIO(handle.read(stop - start)))
 
 
 def cmd_map(args) -> int:
@@ -145,18 +133,16 @@ def cmd_map(args) -> int:
                             _load_table(args.continents, args.aliases))
     report = IngestReport()
     warned = lines_before = 0
+    threads = args.threads or os.cpu_count() or 1
     with ExitStack() as stack:
         source = stack.enter_context(opened(args.input, binary=True))
         sink = stack.enter_context(writing(out / "sequences.txt"))
-        spans = _spans(source) if source.seekable() else []
-        workers = min(args.threads or os.cpu_count() or 1, len(spans))
-        if not spans:  # a pipe (or an empty file): streamed here, in chunks of lines
+        spans = _spans(source) if threads > 1 and source.seekable() else []
+        if len(spans) > 1:
+            pool = stack.enter_context(Pool(min(threads, len(spans)), _start_worker, (mapper,)))
+            results = pool.imap(partial(_map_range, args.input), spans)
+        else:  # one thread, one range or a pipe: mapped here, in chunks of lines
             results = map(mapper.map_lines, iter(partial(source.readlines, _RANGE_BYTES), []))
-        elif workers > 1:
-            pool = stack.enter_context(Pool(workers, _start_worker, (mapper,)))
-            results = pool.imap(partial(_map_worker_range, args.input), spans)
-        else:
-            results = map(partial(_map_range, mapper, args.input), spans)
         for sequences, part, notices, lines in results:
             sink.write(sequences)
             report = report.merge(part)
@@ -204,14 +190,25 @@ def cmd_rank(args) -> int:
 # ---------------------------------------------------------------------------
 # fits
 
+def _fit_rank_file(path: str, args, method: str):
+    """The rank table in ``path`` and its Zipf fit with ``--fit-min-count``
+    over ``--fit-range`` LO:HI (either side open)."""
+    table = read_rank_file(path)
+    min_rank = max_rank = None
+    if args.fit_range is not None:
+        lo, sep, hi = args.fit_range.partition(":")
+        if not sep:
+            raise ValueError(f"--fit-range must look like LO:HI, got {args.fit_range!r}")
+        min_rank, max_rank = int(lo) if lo else None, int(hi) if hi else None
+    return table, fit_zipf(table, min_count=args.fit_min_count, min_rank=min_rank,
+                           max_rank=max_rank, method=method)
+
+
 def cmd_fit_zipf(args) -> int:
     """Fit the rank-frequency exponent of a rank file and sweep the
     sensitivity battery."""
     out = _out_dir(args)
-    table = read_rank_file(args.input)
-    min_rank, max_rank = _parse_fit_range(args.fit_range)
-    fit = fit_zipf(table, min_count=args.fit_min_count, min_rank=min_rank,
-                   max_rank=max_rank, method=args.fit_method)
+    table, fit = _fit_rank_file(args.input, args, args.fit_method)
     sensitivity = zipf_sensitivity(table, min_count=args.fit_min_count,
                                    method=args.fit_method)
     with writing(out / "zipf_fit.txt") as sink:
@@ -305,10 +302,7 @@ def cmd_plotdata(args) -> int:
         return 1
     out = _out_dir(args)
     if args.rank_file:
-        table = read_rank_file(args.rank_file)
-        min_rank, max_rank = _parse_fit_range(args.fit_range)
-        fit = fit_zipf(table, min_count=args.fit_min_count, min_rank=min_rank,
-                       max_rank=max_rank)
+        table, fit = _fit_rank_file(args.rank_file, args, "ols")
         _write_plot(out, "rank", [e.rank for e in table.entries],
                     [e.frequency for e in table.entries], fit, -fit.exponent)
     if args.heap_file:

@@ -152,6 +152,8 @@ class ContinentTable:
         for alias, target in self.aliases.items():
             akey = normalize_label(alias)
             tkey = normalize_label(target)
+            if not akey:
+                raise TableValidationError(f"empty alias {alias!r}")
             if tkey not in self._lookup:
                 raise TableValidationError(
                     f"alias {alias!r} points at {target!r}, which is not in the table")

@@ -1,6 +1,6 @@
 """``map`` over byte ranges: outputs that do not depend on where the ranges
 fall or on how many workers read them, file line numbers in warnings, and
-input that cannot seek."""
+the input mapped in this process: one that cannot seek, or any at one thread."""
 
 import json
 import os
@@ -99,17 +99,24 @@ def test_workers_are_capped_by_ranges(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_RANGE_BYTES", RANGE)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(b"".join(record_line(f"p{i}", ["Poland"]) + b"\n" for i in range(4)))
-    sizes = []
+    sizes, spanned = [], []
 
     def pool(processes, *args):
         sizes.append(processes)
         return real_pool(processes, *args)
 
-    real_pool = cli.Pool
+    def spans(handle):
+        spanned.append(handle)
+        return real_spans(handle)
+
+    real_pool, real_spans = cli.Pool, cli._spans
     monkeypatch.setattr(cli, "Pool", pool)
     with open(corpus, "rb") as handle:
         ranges = len(cli._spans(handle))
     assert 1 < ranges < 8
+    monkeypatch.setattr(cli, "_spans", spans)
+    assert run_map(corpus, tmp_path / "single", 1, capsys)["code"] == 0
+    assert sizes == spanned == []  # one thread: no pool, and the file is not split
     assert run_map(corpus, tmp_path / "many", 8, capsys)["code"] == 0
     monkeypatch.setattr(cli, "_RANGE_BYTES", 1 << 20)
     assert run_map(corpus, tmp_path / "one", 8, capsys)["code"] == 0
@@ -132,14 +139,18 @@ def test_fifo_input_is_streamed(tmp_path, monkeypatch, capsys):
         chunks.append(sum(map(len, lines)))
         return map_lines(mapper, lines)
 
-    monkeypatch.setattr(cli, "Pool", None)  # a pipe is mapped in this process
+    # a pipe, and a file at one thread, are mapped in this process
+    monkeypatch.setattr(cli, "Pool", None)
     monkeypatch.setattr(cli.SequenceMapper, "map_lines", chunked)
-    streamed = run_map(fifo, tmp_path / "fifo", 2, capsys)
+    longest = max(map(len, data.splitlines(keepends=True)))
+    streamed = []
+    for source, threads, name in ((fifo, 2, "fifo"), (regular, 1, "one")):
+        chunks.clear()
+        streamed.append(run_map(source, tmp_path / name, threads, capsys))
+        # in bounded chunks of whole lines, not the whole input at once
+        assert len(chunks) > 6 and sum(chunks) == len(data) and max(chunks) < RANGE + longest
     writer.join(timeout=60)
     assert not writer.is_alive()
-    # in bounded chunks of whole lines, not the whole stream at once
-    longest = max(map(len, data.splitlines(keepends=True)))
-    assert len(chunks) > 6 and sum(chunks) == len(data) and max(chunks) < RANGE + longest
     monkeypatch.setattr(cli, "Pool", real_pool)
     monkeypatch.setattr(cli.SequenceMapper, "map_lines", map_lines)
-    assert streamed == run_map(regular, tmp_path / "file", 2, capsys)
+    assert streamed[0] == streamed[1] == run_map(regular, tmp_path / "file", 2, capsys)

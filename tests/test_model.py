@@ -124,6 +124,11 @@ class TestAliases:
         with pytest.raises(TableValidationError, match="shadows"):
             table.with_aliases({"Poland": "Germany"})
 
+    @pytest.mark.parametrize("alias", ["", " "])
+    def test_alias_must_not_be_empty(self, table, alias):
+        with pytest.raises(TableValidationError, match="empty alias"):
+            table.with_aliases({alias: "Poland"})
+
 
 class TestSequenceType:
     def test_validation(self):
