@@ -66,10 +66,22 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _rank_window(text: str) -> tuple[int | None, int | None]:
+    """argparse type of ``--fit-range``: ``(lo, hi)`` from LO:HI, each side an
+    integer >= 1 or empty (open), and LO <= HI."""
+    sides = text.split(":")
+    if len(sides) == 2 and all(s == "" or s.isdecimal() and int(s) >= 1 for s in sides):
+        lo, hi = (int(s) if s else None for s in sides)
+        if lo is None or hi is None or lo <= hi:
+            return lo, hi
+    raise argparse.ArgumentTypeError(
+        f"expected LO:HI with integers 1 <= LO <= HI, either side empty, got {text!r}")
+
+
 def _load_table(continents: str | None, aliases: str | None) -> ContinentTable:
     table = load_continent_table(continents) if continents else default_table()
     if aliases:
-        table = table.with_aliases(load_aliases(aliases))
+        table = table.with_aliases(load_aliases(aliases, table))
     return table
 
 
@@ -191,15 +203,9 @@ def cmd_rank(args) -> int:
 # fits
 
 def _fit_rank_file(path: str, args, method: str):
-    """The rank table in ``path`` and its Zipf fit with ``--fit-min-count``
-    over ``--fit-range`` LO:HI (either side open)."""
+    """The rank table in ``path`` and its Zipf fit under the ``--fit-*`` flags."""
     table = read_rank_file(path)
-    min_rank = max_rank = None
-    if args.fit_range is not None:
-        lo, sep, hi = args.fit_range.partition(":")
-        if not sep:
-            raise ValueError(f"--fit-range must look like LO:HI, got {args.fit_range!r}")
-        min_rank, max_rank = int(lo) if lo else None, int(hi) if hi else None
+    min_rank, max_rank = args.fit_range
     return table, fit_zipf(table, min_count=args.fit_min_count, min_rank=min_rank,
                            max_rank=max_rank, method=method)
 
@@ -298,8 +304,7 @@ def cmd_plotdata(args) -> int:
     """Emit two-column x TAB y data plus fitted-line companions for the
     rank-frequency and vocabulary-growth figures."""
     if not args.rank_file and not args.heap_file:
-        print("error: need --rank-file and/or --heap-file", file=sys.stderr)
-        return 1
+        raise ValueError("need --rank-file and/or --heap-file")
     out = _out_dir(args)
     if args.rank_file:
         table, fit = _fit_rank_file(args.rank_file, args, "ols")
@@ -317,75 +322,64 @@ def cmd_plotdata(args) -> int:
 # parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="contseq",
-                     description="Continent-sequence corpus analytics")
+    parser = _Parser(prog="contseq", description="Continent-sequence corpus analytics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("map", help="parse a corpus, apply exclusion rules, "
-                                   "emit canonical sequences")
-    p.add_argument("--input", required=True, help="corpus file (JSON lines)")
-    p.add_argument("--output-dir", required=True)
+    def command(name, func, help, input_help=None):
+        """Subcommand ``name`` running ``func``; it reads ``--input`` iff ``input_help``."""
+        p = sub.add_parser(name, help=help)
+        if input_help:
+            p.add_argument("--input", required=True, help=input_help)
+        p.add_argument("--output-dir", required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("map", cmd_map, "parse a corpus, apply exclusion rules, emit canonical "
+                "sequences", "corpus file (JSON lines)")
     p.add_argument("--continents", help="territory table CSV (default: built-in)")
     p.add_argument("--aliases", help="alias table CSV")
     p.add_argument("--max-affils", type=_count, default=5,
                    help="reject records where an author has more affiliations")
-    p.add_argument("--threads", type=_count,
-                   help="worker processes (default: all cores)")
-    p.set_defaults(func=cmd_map)
+    p.add_argument("--threads", type=_count, help="worker processes (default: all cores)")
 
-    p = sub.add_parser("rank", help="build the rank-frequency table of a "
-                                    "sequences file")
-    p.add_argument("--input", required=True, help="sequences file, one per line")
-    p.add_argument("--output-dir", required=True)
-    p.set_defaults(func=cmd_rank)
+    command("rank", cmd_rank, "build the rank-frequency table of a sequences file",
+            "sequences file, one per line")
 
-    p = sub.add_parser("fit-zipf", help="fit the rank-frequency exponent of a "
-                                        "rank file")
-    p.add_argument("--input", required=True, help="rank file (rank.csv)")
-    p.add_argument("--output-dir", required=True)
+    p = command("fit-zipf", cmd_fit_zipf, "fit the rank-frequency exponent of a rank file",
+                "rank file (rank.csv)")
     p.add_argument("--fit-min-count", type=int, default=10)
-    p.add_argument("--fit-range", help="rank window LO:HI (either side open)")
+    p.add_argument("--fit-range", type=_rank_window, default=(None, None),
+                   help="rank window LO:HI (either side open)")
     p.add_argument("--fit-method", choices=("ols", "mle"), default="ols")
-    p.set_defaults(func=cmd_fit_zipf)
 
-    p = sub.add_parser("heap", help="sample and fit the vocabulary-growth curve")
-    p.add_argument("--input", required=True, help="sequences file, one per line")
-    p.add_argument("--output-dir", required=True)
-    p.add_argument("--heap-points", type=_count, default=20,
-                   help="log-spaced sample sizes")
+    p = command("heap", cmd_heap, "sample and fit the vocabulary-growth curve",
+                "sequences file, one per line")
+    p.add_argument("--heap-points", type=_count, default=20, help="log-spaced sample sizes")
     p.add_argument("--heap-repeats", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_heap)
 
-    p = sub.add_parser("gen", help="generate a synthetic corpus with a known "
-                                   "Zipfian distribution")
-    p.add_argument("--output-dir", required=True)
+    p = command("gen", cmd_gen, "generate a synthetic corpus with a known Zipfian "
+                "distribution")
     p.add_argument("--vocab", type=_count, default=1000, help="distinct sequence types")
     p.add_argument("--exponent", type=float, default=1.9)
     p.add_argument("--size", type=int, default=10000, help="number of records")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("crawl", help="breadth-first co-authorship crawl over a "
-                                     "corpus file")
-    p.add_argument("--input", required=True, help="corpus file (JSON lines)")
-    p.add_argument("--output-dir", required=True)
+    p = command("crawl", cmd_crawl, "breadth-first co-authorship crawl over a corpus file",
+                "corpus file (JSON lines)")
     p.add_argument("--seed-author", required=True, help="author id to start from")
     p.add_argument("--max-distance", type=int, default=6)
     p.add_argument("--min-pubs", type=_count, default=50)
     p.add_argument("--min-year", type=int, default=2015)
     p.add_argument("--drop-pruned-pubs", action="store_true",
                    help="do not collect pruned authors' publications")
-    p.set_defaults(func=cmd_crawl)
 
-    p = sub.add_parser("plotdata", help="emit plot-ready data for the rank and "
-                                        "heap figures")
-    p.add_argument("--output-dir", required=True)
+    p = command("plotdata", cmd_plotdata, "emit plot-ready data for the rank and heap figures")
     p.add_argument("--rank-file", help="rank file to plot")
     p.add_argument("--heap-file", help="heap curve file to plot")
     p.add_argument("--fit-min-count", type=int, default=10)
-    p.add_argument("--fit-range", help="rank window LO:HI for the fitted line")
-    p.set_defaults(func=cmd_plotdata)
+    p.add_argument("--fit-range", type=_rank_window, default=(None, None),
+                   help="rank window LO:HI for the fitted line")
 
     return parser
 

@@ -15,7 +15,7 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Collection, Iterable, Protocol
 
 import numpy as np
 
@@ -65,12 +65,13 @@ class PublicationStore(Protocol):
     Implementations must answer consistently for the duration of a crawl:
     ``a in authors_of(p)`` iff ``p in publications_of(a)``, and profiles must
     agree with the publication sets. A client for a live bibliographic API
-    would implement this same contract.
+    would implement this same contract. The id queries may answer with any
+    collection, a list for example: the crawl only iterates them.
     """
 
-    def publications_of(self, author_id: str) -> frozenset[str]: ...
+    def publications_of(self, author_id: str) -> Collection[str]: ...
 
-    def authors_of(self, pub_id: str) -> frozenset[str]: ...
+    def authors_of(self, pub_id: str) -> Collection[str]: ...
 
     def profile(self, author_id: str) -> AuthorProfile: ...
 
@@ -236,7 +237,7 @@ def crawl(store: PublicationStore, seed: str,
             if reason is not None:
                 pruned[author] = reason
                 if policy.collect_pruned_publications:
-                    publications |= store.publications_of(author)
+                    publications.update(store.publications_of(author))
                 continue
             for pub_id in sorted(store.publications_of(author)):
                 publications.add(pub_id)

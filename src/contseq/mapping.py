@@ -84,17 +84,18 @@ def parse_sequence(text: str) -> ContinentSequence:
         raise SequenceFormatError(f"invalid sequence {text!r}: {exc}") from None
 
 
-def load_aliases(source: Source) -> dict[str, str]:
+def load_aliases(source: Source, table: ContinentTable | None = None) -> dict[str, str]:
     """Load an ``alias,canonical_label`` table.
 
     Aliased labels are rewritten to their canonical label before continent
     lookup, so an alias and its target count as the same country. Returns a
-    plain mapping; combine it with a table via
-    :meth:`contseq.model.ContinentTable.with_aliases`, which also validates
-    that every target exists.
+    plain mapping for :meth:`contseq.model.ContinentTable.with_aliases`,
+    which checks it against the table. Given that ``table`` too, each row is
+    checked as it is read, so an error names its row.
     """
     aliases: dict[str, str] = {}
     seen: set[str] = set()
+    probe = None if table is None else ContinentTable(table.entries, table.aliases)
     for row_no, row in read_csv(source, "alias,canonical_label", TableFormatError):
         alias, target = row[0].strip(), row[1].strip()
         if not alias or not target:
@@ -104,4 +105,9 @@ def load_aliases(source: Source) -> dict[str, str]:
             raise TableValidationError(at_row(source, row_no, f"duplicate alias {alias!r}"))
         seen.add(key)
         aliases[alias] = target
+        if probe is not None:
+            try:
+                probe._redirect(alias, target)
+            except TableValidationError as exc:
+                raise TableValidationError(at_row(source, row_no, exc)) from None
     return aliases

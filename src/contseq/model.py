@@ -150,18 +150,22 @@ class ContinentTable:
                 raise TableValidationError(f"duplicate territory label {label!r}")
             self._lookup[key] = (label, continent)
         for alias, target in self.aliases.items():
-            akey = normalize_label(alias)
-            tkey = normalize_label(target)
-            if not akey:
-                raise TableValidationError(f"empty alias {alias!r}")
-            if tkey not in self._lookup:
-                raise TableValidationError(
-                    f"alias {alias!r} points at {target!r}, which is not in the table")
-            if akey in self._lookup:
-                raise TableValidationError(f"alias {alias!r} shadows a territory label")
-            self._lookup[akey] = self._lookup[tkey]
+            self._redirect(alias, target)
         # raw-label resolution cache; real corpora repeat a few hundred labels
         self._cache: dict[str, object] = {}
+
+    def _redirect(self, alias: str, target: str) -> None:
+        """Resolve ``alias`` as ``target`` resolves, or raise TableValidationError."""
+        akey = normalize_label(alias)
+        if not akey:
+            raise TableValidationError(f"empty alias {alias!r}")
+        hit = self._lookup.get(normalize_label(target))
+        if hit is None:
+            raise TableValidationError(
+                f"alias {alias!r} points at {target!r}, which is not in the table")
+        if akey in self._lookup:
+            raise TableValidationError(f"alias {alias!r} shadows a territory label")
+        self._lookup[akey] = hit
 
     def resolve(self, label: str) -> tuple[str, Continent] | None:
         """Resolve a raw label to ``(canonical_label, continent)``.

@@ -141,13 +141,6 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray):
     return slope, stderr, y.mean() - slope * x.mean(), r ** 2
 
 
-def _select_entries(table: RankTable, min_count: int,
-                    min_rank: int | None, max_rank: int | None) -> list[RankEntry]:
-    lo = 1 if min_rank is None else min_rank
-    hi = len(table.entries) if max_rank is None else max_rank
-    return [e for e in table.entries if e.count >= min_count and lo <= e.rank <= hi]
-
-
 def fit_zipf(table: RankTable, *, min_count: int = 10,
              min_rank: int | None = None, max_rank: int | None = None,
              method: str = "ols") -> FitResult:
@@ -162,7 +155,9 @@ def fit_zipf(table: RankTable, *, min_count: int = 10,
     :class:`~contseq.errors.InsufficientDataError` with fewer than three
     usable points.
     """
-    selected = _select_entries(table, min_count, min_rank, max_rank)
+    lo = 1 if min_rank is None else min_rank
+    hi = len(table.entries) if max_rank is None else max_rank
+    selected = [e for e in table.entries if e.count >= min_count and lo <= e.rank <= hi]
     if len(selected) < 3:
         raise InsufficientDataError(
             f"need >= 3 usable ranks, have {len(selected)} "

@@ -95,6 +95,7 @@ CASES = {
     "aliases-duplicate-alias": (ALIASES,
                                 b"alias,canonical_label\nUK,United Kingdom\nuk,United Kingdom\n", 1),
     "aliases-empty-alias": (ALIASES, b"alias,canonical_label\n ,United Kingdom\n", 1),
+    "aliases-shadows-territory": (ALIASES, b"alias,canonical_label\nPoland,Germany\n", 1),
 }
 
 
@@ -119,7 +120,8 @@ def test_input_file_exit_code(name, tmp_path, capsys):
         if any(kind in name for kind in ("wrong-header", "short-row", "invalid-utf8",
                                          "non-numeric", "unparsable-", "impossible-",
                                          "unknown-continent", "duplicate-", "empty-label",
-                                         "empty-alias", "bad-count")):
+                                         "empty-alias", "bad-count", "unknown-target",
+                                         "shadows-")):
             assert errors[0].startswith(f"error: {target}: row "), err
             assert errors[0].endswith(": invalid UTF-8") == ("invalid-utf8" in name), err
 
@@ -138,6 +140,51 @@ def test_count_flags_reject_non_positive(argv, value, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("contseq") and f"argument {argv[-1]}: " in err[-1]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def rank_file(tmp_path):
+    from contseq.stats import write_rank_file
+    from test_stats import table_from_ranked_counts
+    path = tmp_path / "rank.csv"
+    write_rank_file(table_from_ranked_counts([round(1e12 * r ** -2.0) for r in range(1, 301)]),
+                    path)
+    return path
+
+
+FIT_RANGE_COMMANDS = [["fit-zipf", "--input"], ["plotdata", "--rank-file"]]
+
+
+@pytest.mark.parametrize("command", FIT_RANGE_COMMANDS)
+@pytest.mark.parametrize("window", ["a:b", "1:2:3", "5", "5:2", "0:10", "-1:5", " 5:50", ""])
+def test_bad_fit_range_is_a_usage_error(command, window, rank_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*command, str(rank_file), "--output-dir", str(out), "--fit-range", window]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"contseq {command[0]}: error: argument --fit-range: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", FIT_RANGE_COMMANDS)
+@pytest.mark.parametrize("window, lo, hi", [("5:50", 5, 50), ("2:", 2, None),
+                                            (":200", None, 200), (":", None, None)])
+def test_fit_range_sides_are_optional(command, window, lo, hi, rank_file, tmp_path, capsys):
+    from contseq.stats import fit_zipf, format_fit_report, read_rank_file, zipf_sensitivity
+    table = read_rank_file(rank_file)
+    out = tmp_path / "out"
+    assert main([*command, str(rank_file), "--output-dir", str(out), "--fit-range", window]) == 0
+    fit = fit_zipf(table, min_rank=lo, max_rank=hi)
+    if command[0] == "fit-zipf":
+        assert (out / "zipf_fit.txt").read_text() == format_fit_report(
+            fit, zipf_sensitivity(table))
+    else:
+        assert f"fitted exponent {fit.exponent:.6f}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", FIT_RANGE_COMMANDS)
+def test_one_rank_window_is_valid_but_too_short(command, rank_file, tmp_path):
+    assert main([*command, str(rank_file), "--output-dir", str(tmp_path / "out"),
+                 "--fit-range", "7:7"]) == 3
 
 
 def test_zero_distance_and_size_stay_valid(tmp_path):

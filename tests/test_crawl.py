@@ -298,6 +298,26 @@ class TestCrawl:
             for author, d in result.distances.items():
                 assert dist[(authors[0], author)] == d
 
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_store_may_answer_with_lists(self, collect):
+        class ListStore:  # answers id queries with lists, as a live API client would
+            def publications_of(self, author_id):
+                return sorted(store.publications_of(author_id), reverse=True)
+
+            def authors_of(self, pub_id):
+                return sorted(store.authors_of(pub_id), reverse=True)
+
+            def profile(self, author_id):
+                return store.profile(author_id)
+
+        store, authors = random_store(3)
+        policy = CrawlPolicy(max_distance=3, min_total_publications=2,
+                             min_last_publication_year=2010,
+                             collect_pruned_publications=collect)
+        results = [crawl(store, seed, policy) for seed in authors]
+        assert any(result.frontier_pruned for result in results)
+        assert [crawl(ListStore(), seed, policy) for seed in authors] == results
+
     def test_matches_oracle_spot(self):
         rng = random.Random(99)
         for seed in range(10):
