@@ -22,26 +22,25 @@ and print the seed they used.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 from collections import Counter
-from contextlib import ExitStack
-from functools import partial
-from multiprocessing import Pool
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .crawl import CorpusStore, CrawlPolicy, crawl
 from .errors import ContseqError, EmptyInputError, InsufficientDataError, SequenceFormatError
-from .files import at_row, opened, writing
+from .files import at_row, opened, read_ranges, writing
 # parse_record_line, filter_record and map_to_sequence are unused here;
 # bench/layers.py patches them by name.
 from .ingest import (MAX_NOTICES, ExclusionPolicy, IngestReport, SequenceMapper,
                      filter_record, parse_record_line, write_corpus)
 from .mapping import load_aliases, map_to_sequence, parse_sequence, render_sequence
-from .model import ContinentTable, default_table, load_continent_table
+from .model import ContinentSequence, ContinentTable, default_table, load_continent_table
 from .stats import (RankTable, default_sample_sizes, fit_heap, fit_zipf,
                     format_fit_report, heap_curve, read_heap_file,
                     read_rank_file, write_heap_file, write_rank_file,
@@ -49,7 +48,6 @@ from .stats import (RankTable, default_sample_sizes, fit_heap, fit_zipf,
 from .syngen import SyntheticSpec, iter_corpus
 
 _POINT_FORMAT = "%.8g"  # plot-data value precision
-_RANGE_BYTES = 1 << 22  # corpus bytes per map task
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,44 +94,42 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         sink.writelines(line + "\n" for line in lines)
 
 
-def _read_sequences(path: str) -> Iterator[str]:
-    """The non-blank lines of a sequences file, stripped."""
+class _SequenceCodes(dict):
+    """Stripped line text of a sequences file -> code of its parsed
+    sequence. A new text is parsed on its first lookup; ``sequences`` maps
+    each distinct sequence to its code, in first-seen order."""
+
+    def __init__(self, path: str):
+        super().__init__()
+        self.path, self.sequences = path, {}
+
+    def __missing__(self, text: str) -> int:
+        try:
+            sequence = parse_sequence(text)
+        except SequenceFormatError as exc:  # a new text, so its first row is being read
+            with opened(self.path) as lines:
+                row = next(row for row, line in enumerate(lines, 1) if line.strip() == text)
+            raise SequenceFormatError(at_row(self.path, row, exc)) from None
+        code = self[text] = self.sequences.setdefault(sequence, len(self.sequences))
+        return code
+
+
+@contextmanager
+def _read_sequences(path: str) -> Iterator[tuple[Iterator[int], dict[ContinentSequence, int]]]:
+    """The sequence code of each non-blank line of a sequences file, as the
+    lines are read, and a dict from each distinct sequence to its code,
+    filled as they are read.
+
+    Texts that differ only in case or spacing parse to one sequence and
+    share its code. A line that does not parse raises SequenceFormatError
+    naming its row."""
+    codes = _SequenceCodes(path)
     with opened(path) as source:
-        yield from filter(None, map(str.strip, source))
+        yield map(codes.__getitem__, filter(None, map(str.strip, source))), codes.sequences
 
 
 # ---------------------------------------------------------------------------
 # map
-
-def _spans(handle) -> list[tuple[int, int]]:
-    """Byte ranges ``(start, stop)`` of about ``_RANGE_BYTES`` covering a
-    seekable corpus, each ending at a newline or at EOF. Leaves the handle
-    at offset 0."""
-    size = os.fstat(handle.fileno()).st_size
-    bounds = [0]
-    for cut in range(_RANGE_BYTES, size, _RANGE_BYTES):
-        handle.seek(cut - 1)
-        handle.readline()
-        bounds.append(handle.tell())
-    handle.seek(0)
-    return [(start, stop) for start, stop in zip(bounds, bounds[1:] + [size]) if start < stop]
-
-
-_mapper: SequenceMapper | None = None  # a pool worker's own, kept across its ranges
-
-
-def _start_worker(mapper: SequenceMapper) -> None:
-    global _mapper
-    _mapper = mapper
-
-
-def _map_range(path: str, span):
-    """A pool worker's task: map one byte range of the corpus."""
-    start, stop = span
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        return _mapper.map_lines(io.BytesIO(handle.read(stop - start)))
-
 
 def cmd_map(args) -> int:
     """Parse a corpus file, apply the exclusion rules, and write one
@@ -145,17 +141,9 @@ def cmd_map(args) -> int:
                             _load_table(args.continents, args.aliases))
     report = IngestReport()
     warned = lines_before = 0
-    threads = args.threads or os.cpu_count() or 1
-    with ExitStack() as stack:
-        source = stack.enter_context(opened(args.input, binary=True))
-        sink = stack.enter_context(writing(out / "sequences.txt"))
-        spans = _spans(source) if threads > 1 and source.seekable() else []
-        if len(spans) > 1:
-            pool = stack.enter_context(Pool(min(threads, len(spans)), _start_worker, (mapper,)))
-            results = pool.imap(partial(_map_range, args.input), spans)
-        else:  # one thread, one range or a pipe: mapped here, in chunks of lines
-            results = map(mapper.map_lines, iter(partial(source.readlines, _RANGE_BYTES), []))
-        for sequences, part, notices, lines in results:
+    with writing(out / "sequences.txt") as sink:
+        for sequences, part, notices, lines in read_ranges(
+                args.input, mapper.map_lines, args.threads or os.cpu_count() or 1):
             sink.write(sequences)
             report = report.merge(part)
             for notice in notices:
@@ -182,16 +170,9 @@ def cmd_map(args) -> int:
 def cmd_rank(args) -> int:
     """Aggregate a sequences file into the rank,sequence,count,percent table."""
     out = _out_dir(args)
-    counts: dict = {}
-    for text, n in Counter(_read_sequences(args.input)).items():
-        try:
-            sequence = parse_sequence(text)
-        except SequenceFormatError as exc:  # find the first row of the text only now
-            with opened(args.input) as lines:
-                row = next(row for row, line in enumerate(lines, 1) if line.strip() == text)
-            raise SequenceFormatError(at_row(args.input, row, exc)) from None
-        counts[sequence] = counts.get(sequence, 0) + n
-    table = RankTable.from_counts(counts)
+    with _read_sequences(args.input) as (codes, sequences):
+        counts = Counter(codes)
+    table = RankTable.from_counts({sequence: counts[code] for sequence, code in sequences.items()})
     write_rank_file(table, out / "rank.csv")
     top = table.entries[0]
     print(f"{len(table)} distinct sequences over {table.total_count} records; "
@@ -228,8 +209,9 @@ def cmd_fit_zipf(args) -> int:
 def cmd_heap(args) -> int:
     """Sample the vocabulary-growth curve of a sequences file and fit it."""
     out = _out_dir(args)
-    corpus = list(_read_sequences(args.input))
-    if not corpus:
+    with _read_sequences(args.input) as (codes, _):
+        corpus = np.fromiter(codes, dtype=np.int32)
+    if not corpus.size:
         raise EmptyInputError("no sequences in input")
     print(f"seed {args.seed}")
     sizes = default_sample_sizes(len(corpus), points=args.heap_points)

@@ -12,14 +12,18 @@ crawl does not continue through them. The seed itself is always expanded.
 from __future__ import annotations
 
 import enum
+import os
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Collection, Iterable, Protocol
 
 import numpy as np
 
 from .errors import UnknownAuthorError, UnknownPublicationError
+from .files import read_ranges
 from .ingest import store_fields
 from .model import PublicationRecord
 
@@ -76,6 +80,42 @@ class PublicationStore(Protocol):
     def profile(self, author_id: str) -> AuthorProfile: ...
 
 
+#: One range's index columns: its publication ids, their years, the ``int64``
+#: end of each record's author numbers, those ``int32`` numbers, and the
+#: author ids that the numbers index, in first-seen order.
+Columns = tuple[list[str], list[int], array, array, list[str]]
+
+
+def _numbering() -> defaultdict:
+    """A dict that numbers each new key on lookup: 0, 1, 2, ..."""
+    return defaultdict(count().__next__)
+
+
+def _columns(entries: Iterable[tuple[str, int, list[str]]]) -> Columns:
+    """The columns of ``(pub_id, year, author_ids)`` entries; an author
+    listed twice in one entry counts once."""
+    pub_ids, years, ends, members, authors = [], [], array("q"), array("i"), _numbering()
+    for pub_id, year, author_ids in entries:
+        pub_ids.append(pub_id)
+        years.append(year)
+        members.extend(map(authors.__getitem__, dict.fromkeys(author_ids)))
+        ends.append(len(members))
+    return pub_ids, years, ends, members, list(authors)
+
+
+def _file_columns(lines: Iterable[bytes]) -> Columns:
+    """The columns of the records in some corpus lines (a range worker's task)."""
+    return _columns(store_fields(lines))
+
+
+def _keep(columns: Columns, kept: list[int]) -> Columns:
+    """``columns`` cut down to the records at the ``kept`` indices."""
+    pub_ids, years, ends, members, authors = columns
+    starts = [0, *ends]
+    return _columns((pub_ids[i], years[i], [authors[m] for m in members[starts[i]:ends[i]]])
+                    for i in kept)
+
+
 class CorpusStore:
     """In-memory :class:`PublicationStore` indexed from publication records.
 
@@ -96,34 +136,47 @@ class CorpusStore:
     duplicates_skipped = 0  # records from_file skipped for a repeated publication id
 
     def __init__(self, records: Iterable[PublicationRecord]):
-        duplicates = self._index(
-            (r.pub_id, r.year, [a.author_id for a in r.authors]) for r in records)
+        duplicates = self._index([_columns(
+            (r.pub_id, r.year, [a.author_id for a in r.authors]) for r in records)])
         if duplicates:
             raise ValueError(f"duplicate publication id {duplicates[0]!r}")
 
-    def _index(self, entries: Iterable[tuple[str, int, list[str]]]) -> list[str]:
-        """Index the first ``(pub_id, year, author_ids)`` of each publication
-        id; return the other entries' ids."""
-        pub_number: dict[str, int] = {}
-        author_number: dict[str, int] = {}
+    def _index(self, parts: Iterable[Columns]) -> list[str]:
+        """Index the columns of consecutive parts of a corpus, keeping the
+        first record of each publication id; return the other records' ids.
+
+        Each of a part's publication ids, and each of its distinct authors,
+        is looked up once; a part that repeats an id is cut down to the
+        first record of each id before its authors are numbered."""
+        pub_number, author_number = _numbering(), _numbering()
         years: list[int] = []
-        members = array("i")
-        ends = array("q")
-        duplicates = []
-        for pub_id, year, author_ids in entries:
-            if pub_id in pub_number:
-                duplicates.append(pub_id)
-                continue
-            pub_number[pub_id] = len(pub_number)
-            years.append(year)
-            for author_id in dict.fromkeys(author_ids):
-                number = author_number.get(author_id)
-                if number is None:
-                    number = author_number[author_id] = len(author_number)
-                members.append(number)
-            ends.append(len(members))
-        pub_members = np.frombuffer(members, dtype=np.int32)
-        pub_offsets = np.concatenate(([0], np.frombuffer(ends, dtype=np.int64)))
+        member_parts = [np.empty(0, dtype=np.int32)]
+        end_parts = [np.zeros(1, dtype=np.int64)]
+        members_before = 0
+        duplicates: list[str] = []
+        for part in parts:
+            pub_ids, before = part[0], len(pub_number)
+            numbers = list(map(pub_number.__getitem__, pub_ids))
+            if len(pub_number) - before < len(pub_ids):
+                # a repeated id. New ids were numbered in order of first sight,
+                # so a first record is one whose number is the next one.
+                kept = []
+                for i, number in enumerate(numbers):
+                    if number == before + len(kept):
+                        kept.append(i)
+                    else:
+                        duplicates.append(pub_ids[i])
+                part = _keep(part, kept)
+            _, part_years, ends, members, author_ids = part
+            years.extend(part_years)
+            numbered = np.fromiter(map(author_number.__getitem__, author_ids), dtype=np.int32,
+                                   count=len(author_ids))
+            member_parts.append(numbered[np.frombuffer(members, dtype=np.int32)])
+            end_parts.append(np.frombuffer(ends, dtype=np.int64) + members_before)
+            members_before += len(members)
+        pub_number.default_factory = author_number.default_factory = None  # plain lookups
+        pub_members, pub_offsets = np.concatenate(member_parts), np.concatenate(end_parts)
+        del member_parts, end_parts  # before the build's own temporaries
         pub_sizes = np.diff(pub_offsets)
         order = np.argsort(pub_members, kind="stable")
         author_members = np.repeat(np.arange(len(years), dtype=np.int32), pub_sizes)[order]
@@ -141,7 +194,9 @@ class CorpusStore:
         self._pub_members, self._pub_offsets = memoryview(pub_members), memoryview(pub_offsets)
         self._author_members = memoryview(author_members)
         self._author_offsets = memoryview(author_offsets)
-        self._last_years = last_years.tolist()
+        # an object array of years has no buffer; it is the rare case
+        self._last_years = (last_years.tolist() if last_years.dtype == object
+                            else memoryview(last_years))
         return duplicates
 
     @classmethod
@@ -151,10 +206,13 @@ class CorpusStore:
         The store indexes all structurally valid records: the crawl operates
         on the raw collection, and the article-exclusion rules apply later,
         at mapping time. Of records sharing a publication id the first is
-        kept; ``duplicates_skipped`` counts the rest.
+        kept; ``duplicates_skipped`` counts the rest. The file is read by
+        :func:`~contseq.files.read_ranges` on one worker per core; the store
+        does not depend on their number.
         """
         store = cls.__new__(cls)
-        store.duplicates_skipped = len(store._index(store_fields(path)))
+        store.duplicates_skipped = len(store._index(
+            read_ranges(path, _file_columns, os.cpu_count() or 1)))
         return store
 
     def _author(self, author_id: str) -> int:
@@ -226,6 +284,10 @@ def crawl(store: PublicationStore, seed: str,
     distances: dict[str, int] = {seed: 0}
     pruned: dict[str, PruneReason] = {}
     publications: set[str] = set()
+    # Publications whose co-authors were enumerated. The first enumeration
+    # reaches each co-author at the least distance, so a repeat adds nothing.
+    # Not ``publications``: a pruned author's are collected, not enumerated.
+    enumerated: set[str] = set()
     frontier = [seed]
     while frontier:
         next_frontier: list[str] = []
@@ -241,6 +303,9 @@ def crawl(store: PublicationStore, seed: str,
                 continue
             for pub_id in sorted(store.publications_of(author)):
                 publications.add(pub_id)
+                if pub_id in enumerated:
+                    continue
+                enumerated.add(pub_id)
                 for coauthor in store.authors_of(pub_id):
                     if coauthor not in distances:
                         distances[coauthor] = distance + 1

@@ -1,5 +1,5 @@
-"""The package's file layer: one opener, one CSV reader, one writer, and
-the row-located message their errors share.
+"""The package's file layer: one opener, one CSV reader, one byte-range
+reader, one writer, and the row-located message their errors share.
 
 Readers take a path, an open handle, or any iterable of lines. Writers take
 a path or an open handle; a path is replaced atomically, so a command that
@@ -11,15 +11,21 @@ write to a stream or a device.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from contextlib import contextmanager
+from functools import partial
+from multiprocessing import Pool
 from pathlib import Path
-from typing import IO, Iterable, Iterator, TextIO, Union
+from typing import IO, Callable, Iterable, Iterator, TextIO, TypeVar, Union
 
 #: What every reader accepts: a path, an open stream, or raw lines.
 Source = Union[str, Path, IO[str], Iterable[str]]
 #: What every writer accepts: a path or an open text stream.
 Sink = Union[str, Path, TextIO]
+T = TypeVar("T")
+
+_RANGE_BYTES = 1 << 22  # file bytes per range, and per chunk of lines read in process
 
 
 def at_row(source: Source, row: int, message) -> str:
@@ -78,6 +84,56 @@ def read_csv(source: Source, header: str, error: type[Exception] = ValueError,
                 raise error(at_row(source, number,
                                    f"expected {len(names)} columns, got {len(row)}"))
             yield number, row
+
+
+def _spans(handle) -> list[tuple[int, int]]:
+    """Byte ranges ``(start, stop)`` of about ``_RANGE_BYTES`` covering a
+    seekable file, each ending at a newline or at EOF. Leaves the handle at
+    offset 0."""
+    size = os.fstat(handle.fileno()).st_size
+    bounds = [0]
+    for cut in range(_RANGE_BYTES, size, _RANGE_BYTES):
+        handle.seek(cut - 1)
+        handle.readline()
+        bounds.append(handle.tell())
+    handle.seek(0)
+    return [(start, stop) for start, stop in zip(bounds, bounds[1:] + [size]) if start < stop]
+
+
+_work: Callable | None = None  # a pool worker's own, kept across its ranges
+
+
+def _start_worker(work: Callable) -> None:
+    global _work
+    _work = work
+
+
+def _read_range(path: str, span: tuple[int, int]):
+    """A pool worker's task: ``_work`` over the lines of one byte range."""
+    start, stop = span
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        return _work(io.BytesIO(handle.read(stop - start)))
+
+
+def read_ranges(path: str | Path, work: Callable[[Iterable[bytes]], T],
+                workers: int) -> Iterator[T]:
+    """``work`` over the byte lines of a file, once per range of about
+    ``_RANGE_BYTES``, its results in file order.
+
+    With more than one worker and a seekable file of more than one range, a
+    pool of up to ``workers`` processes runs ``work``; each worker gets
+    ``work`` once, keeps it across its ranges, and reads its own ranges of
+    the file. Otherwise (one worker, one range, or a pipe) the file is read
+    in this process, in chunks of whole lines. Either way ``work`` sees each
+    line once."""
+    with open(path, "rb") as source:
+        spans = _spans(source) if workers > 1 and source.seekable() else []
+        if len(spans) > 1:
+            with Pool(min(workers, len(spans)), _start_worker, (work,)) as pool:
+                yield from pool.imap(partial(_read_range, str(path)), spans)
+        else:
+            yield from map(work, iter(partial(source.readlines, _RANGE_BYTES), []))
 
 
 @contextmanager

@@ -10,6 +10,7 @@ import contseq
 from contseq.cli import main
 from contseq.ingest import write_corpus
 from contseq.model import ContinentTable
+from contseq.stats import read_heap_file
 from golden import GOLDEN_RANK_LINES, fixture_sequences
 from helpers import coauthored, record
 
@@ -179,6 +180,28 @@ class TestFitCommands:
         main(["heap", "--input", str(source), "--output-dir", str(out),
               "--heap-points", "6", "--heap-repeats", "3", "--seed", "7"])
         assert (out / "heap_curve.csv").read_bytes() == first
+
+
+    @pytest.mark.parametrize("garbage", [False, True])
+    def test_rank_and_heap_read_sequences_alike(self, tmp_path, capsys, garbage):
+        lines = [["Asia (1)", "asia (1)", "Europe (1)", "Europe (2)"][i % 4]
+                 for i in range(2000)]
+        if garbage:
+            lines[5] = "garbage"
+        source = tmp_path / "sequences.txt"
+        write_lines(source, lines)
+        codes = [main([command, "--input", str(source), "--output-dir", str(tmp_path / command)])
+                 for command in ("rank", "heap")]
+        out, err = capsys.readouterr()
+        if garbage:
+            assert codes == [1, 1]
+            assert err.splitlines() == [
+                f"error: {source}: row 6: cannot parse sequence part 'garbage'"] * 2
+        else:
+            assert codes == [0, 0]
+            assert out.startswith("3 distinct sequences over 2000 records")
+            curve = read_heap_file(tmp_path / "heap" / "heap_curve.csv")
+            assert {point.v for point in curve.points} == {3}  # Asia (1) twice is one
 
 
 class TestGenCommand:

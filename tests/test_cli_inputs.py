@@ -51,6 +51,7 @@ CASES = {
     "sequences-empty-rank": (RANK, b"", 2),
     "sequences-empty-heap": (HEAP, b"\n  \n", 2),
     "sequences-bad-count-rank": (RANK, b"Asia (x)\n", 1),
+    "sequences-bad-count-heap": (HEAP, b"Asia (1)\nAsia (x)\n", 1),
     "sequences-invalid-utf8-rank": (RANK, b"Asia (1)\n\xff\n", 1),
     "sequences-invalid-utf8-heap": (HEAP, b"Asia (1)\n\xff\n", 1),
     "rank-missing-fit": (FIT, MISSING, 1),

@@ -1,19 +1,25 @@
 import importlib.util
 import json
+import os
 import random
+import re
 import sys
 import tempfile
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import contseq.files as files
 from contseq.cli import main
 from contseq.crawl import (AuthorProfile, CorpusStore, CrawlPolicy,
                            PruneReason, crawl, prune_reason)
 from contseq.errors import ContseqError, UnknownAuthorError, UnknownPublicationError
 from contseq.ingest import MalformedRecord, parse_corpus, write_corpus
 from helpers import OracleStore, coauthored, oracle_crawl, random_policy, random_store
+from test_map_ranges import RANGE, corpus_bytes
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DATA = Path(__file__).resolve().parents[1] / "src" / "contseq" / "data"
@@ -134,6 +140,92 @@ def test_from_file_agrees_with_oracle(lines):
         assert _answer(store.profile, author) == _answer(oracle.profile, author)
     for pub in (*PUB_IDS, "p9"):
         assert _answer(store.authors_of, pub) == _answer(oracle.authors_of, pub)
+
+
+def coauthor_line(pub_id: str, authors) -> bytes:
+    return json.dumps({"schema_version": 1, "id": pub_id, "year": 2020, "authors": [
+        {"author_id": a, "affiliations": [{"institution": "I"}]} for a in authors]}).encode()
+
+
+def ranged_corpus() -> tuple[bytes, int]:
+    """The corpus of tests/test_map_ranges.py, plus shared co-authors and
+    repeated publication ids: ``q1`` twice within a range, ``p1`` again
+    across range ends, each repeat naming an author found nowhere else.
+    Also the range end that a line ends at."""
+    data, boundary = corpus_bytes()
+    head, last = data[:data.rindex(b"\n") + 1], data[data.rindex(b"\n") + 1:]
+    head += b" " * (-(len(head) + 1) % RANGE) + b"\n"  # so a range starts at the q1 pair
+    lines = [coauthor_line("q1", ["A", "B"]), coauthor_line("q1", ["Z"]),
+             coauthor_line("q2", ["A", "C", "A"]), coauthor_line("p1", ["Y"]),
+             coauthor_line("q3", ["B", "C"])]
+    return head + b"".join(line + b"\n" for line in lines) + last, boundary
+
+
+def store_answers(store) -> dict:
+    """Every answer of a store, to compare two of them."""
+    authors, pubs = store.author_ids(), store.publication_ids()
+    return {"author_ids": authors, "publication_ids": pubs,
+            "duplicates_skipped": store.duplicates_skipped,
+            "publications_of": [store.publications_of(a) for a in authors],
+            "profile": [store.profile(a) for a in authors],
+            "authors_of": [store.authors_of(p) for p in pubs]}
+
+
+def test_store_read_agrees_across_ranges_and_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "_RANGE_BYTES", RANGE)
+    data, boundary = ranged_corpus()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(data)
+    with open(corpus, "rb") as handle:
+        spans = files._spans(handle)
+    assert len(spans) > 6 and any(stop == boundary for _, stop in spans), spans
+
+    def ranges_of(pub_id):  # the ranges that hold the records of pub_id
+        records = re.finditer(b'"id": "%s"' % pub_id.encode(), data)
+        return [next(i for i, (start, stop) in enumerate(spans) if start <= record.start() < stop)
+                for record in records]
+
+    assert len(ranges_of("q1")) == 2 and len(set(ranges_of("q1"))) == 1
+    assert len(set(ranges_of("p1"))) == 2
+
+    pools, real_pool = [], files.Pool
+
+    def pool(processes, *args):
+        pools.append(processes)
+        return real_pool(processes, *args)
+
+    monkeypatch.setattr(files, "Pool", pool)
+    builds = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cores: n)
+        builds.append(store_answers(CorpusStore.from_file(corpus)))
+    assert pools == [2, 3]  # one core: read in process
+    assert builds[0] == builds[1] == builds[2]
+    oracle = OracleStore(item for item in parse_corpus(corpus)
+                         if not isinstance(item, MalformedRecord))
+    assert builds[0] == store_answers(oracle)
+    assert builds[0]["duplicates_skipped"] == 2
+    assert set(builds[0]["author_ids"]) >= {"A", "B", "C"}
+    assert not set(builds[0]["author_ids"]) & {"Y", "Z"}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_store_reads_a_fifo_in_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "_RANGE_BYTES", RANGE)
+    data = ranged_corpus()[0]
+    regular = tmp_path / "corpus.jsonl"
+    regular.write_bytes(data)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    expected = store_answers(CorpusStore.from_file(regular))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    monkeypatch.setattr(files, "Pool", None)  # a pipe is read in this process
+    assert store_answers(CorpusStore.from_file(fifo)) == expected
+    writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 def _bench_module(name: str):
@@ -317,6 +409,31 @@ class TestCrawl:
         results = [crawl(store, seed, policy) for seed in authors]
         assert any(result.frontier_pruned for result in results)
         assert [crawl(ListStore(), seed, policy) for seed in authors] == results
+
+    def test_each_publication_is_enumerated_once(self):
+        class CountingStore:  # counts the authors_of questions per publication
+            def __init__(self, store):
+                self.publications_of, self.profile = store.publications_of, store.profile
+                self._authors_of, self.asked = store.authors_of, Counter()
+
+            def authors_of(self, pub_id):
+                self.asked[pub_id] += 1
+                return self._authors_of(pub_id)
+
+        rng = random.Random(5)
+        shared = 0
+        for seed in range(30):
+            store, authors = random_store(seed + 500)
+            start = rng.choice(authors)
+            for policy in (OPEN, random_policy(rng)):
+                counting = CountingStore(store)
+                result = crawl(counting, start, policy)
+                assert set(counting.asked.values()) <= {1}
+                assert result == crawl(store, start, policy) == oracle_crawl(store, start, policy)
+                expanded = result.distances.keys() - result.frontier_pruned.keys()
+                # publications that two expanded authors share were asked about once
+                shared += sum(len(store.authors_of(p) & expanded) > 1 for p in counting.asked)
+        assert shared > 100
 
     def test_matches_oracle_spot(self):
         rng = random.Random(99)

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from contseq import cli, files
+from contseq import files
 from contseq.cli import main
 from contseq.errors import TableFormatError
 from contseq.files import opened, read_csv, writing
@@ -137,7 +137,7 @@ def fail_after_first_line(monkeypatch):
 @pytest.mark.parametrize("previous", [None, b"Asia (1)\nAsia (1)\n"])
 def test_failed_map_leaves_previous_sequences(tmp_path, fail_after_first_line, previous,
                                               monkeypatch):
-    monkeypatch.setattr(cli, "_RANGE_BYTES", 1)  # one line per chunk, so one write per line
+    monkeypatch.setattr(files, "_RANGE_BYTES", 1)  # one line per chunk, so one write per line
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(record_to_json(record(f"p{i}", [["Poland"]])) + "\n"
                               for i in range(3)), encoding="utf-8")

@@ -9,6 +9,7 @@ import threading
 import pytest
 
 import contseq.cli as cli
+import contseq.files as files
 from contseq.cli import main
 from contseq.ingest import (ExclusionPolicy, IngestReport, MalformedRecord, RejectReason,
                             classify, parse_corpus)
@@ -63,12 +64,12 @@ def run_map(corpus, out, threads: int, capsys) -> dict:
 
 
 def test_outputs_agree_across_ranges_and_threads(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_RANGE_BYTES", RANGE)
+    monkeypatch.setattr(files, "_RANGE_BYTES", RANGE)
     data, boundary = corpus_bytes()
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(data)
     with open(corpus, "rb") as handle:
-        spans = cli._spans(handle)
+        spans = files._spans(handle)
     assert len(spans) > 6 and any(stop == boundary for _, stop in spans), spans
     assert [start for start, _ in spans[1:]] == [stop for _, stop in spans[:-1]]
 
@@ -96,7 +97,7 @@ def test_outputs_agree_across_ranges_and_threads(tmp_path, monkeypatch, capsys):
 
 
 def test_workers_are_capped_by_ranges(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_RANGE_BYTES", RANGE)
+    monkeypatch.setattr(files, "_RANGE_BYTES", RANGE)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(b"".join(record_line(f"p{i}", ["Poland"]) + b"\n" for i in range(4)))
     sizes, spanned = [], []
@@ -109,23 +110,23 @@ def test_workers_are_capped_by_ranges(tmp_path, monkeypatch, capsys):
         spanned.append(handle)
         return real_spans(handle)
 
-    real_pool, real_spans = cli.Pool, cli._spans
-    monkeypatch.setattr(cli, "Pool", pool)
+    real_pool, real_spans = files.Pool, files._spans
+    monkeypatch.setattr(files, "Pool", pool)
     with open(corpus, "rb") as handle:
-        ranges = len(cli._spans(handle))
+        ranges = len(files._spans(handle))
     assert 1 < ranges < 8
-    monkeypatch.setattr(cli, "_spans", spans)
+    monkeypatch.setattr(files, "_spans", spans)
     assert run_map(corpus, tmp_path / "single", 1, capsys)["code"] == 0
     assert sizes == spanned == []  # one thread: no pool, and the file is not split
     assert run_map(corpus, tmp_path / "many", 8, capsys)["code"] == 0
-    monkeypatch.setattr(cli, "_RANGE_BYTES", 1 << 20)
+    monkeypatch.setattr(files, "_RANGE_BYTES", 1 << 20)
     assert run_map(corpus, tmp_path / "one", 8, capsys)["code"] == 0
     assert sizes == [ranges]  # no pool for a single range
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_fifo_input_is_streamed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_RANGE_BYTES", RANGE)
+    monkeypatch.setattr(files, "_RANGE_BYTES", RANGE)
     data, _ = corpus_bytes()
     regular = tmp_path / "corpus.jsonl"
     regular.write_bytes(data)
@@ -133,14 +134,14 @@ def test_fifo_input_is_streamed(tmp_path, monkeypatch, capsys):
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
-    real_pool, map_lines, chunks = cli.Pool, cli.SequenceMapper.map_lines, []
+    real_pool, map_lines, chunks = files.Pool, cli.SequenceMapper.map_lines, []
 
     def chunked(mapper, lines):
         chunks.append(sum(map(len, lines)))
         return map_lines(mapper, lines)
 
     # a pipe, and a file at one thread, are mapped in this process
-    monkeypatch.setattr(cli, "Pool", None)
+    monkeypatch.setattr(files, "Pool", None)
     monkeypatch.setattr(cli.SequenceMapper, "map_lines", chunked)
     longest = max(map(len, data.splitlines(keepends=True)))
     streamed = []
@@ -151,6 +152,6 @@ def test_fifo_input_is_streamed(tmp_path, monkeypatch, capsys):
         assert len(chunks) > 6 and sum(chunks) == len(data) and max(chunks) < RANGE + longest
     writer.join(timeout=60)
     assert not writer.is_alive()
-    monkeypatch.setattr(cli, "Pool", real_pool)
+    monkeypatch.setattr(files, "Pool", real_pool)
     monkeypatch.setattr(cli.SequenceMapper, "map_lines", map_lines)
     assert streamed[0] == streamed[1] == run_map(regular, tmp_path / "file", 2, capsys)
