@@ -182,8 +182,11 @@ class CorpusStore:
         author_members = np.repeat(np.arange(len(years), dtype=np.int32), pub_sizes)[order]
         counts = np.bincount(pub_members, minlength=len(author_number))
         author_offsets = np.concatenate(([0], np.cumsum(counts)))
-        # a year beyond int64 makes an object array, which maximum.at handles too
-        member_years = np.repeat(np.array(years), pub_sizes)
+        # exact ints: a year beyond int64 makes an object array, which maximum.at handles too
+        try:
+            member_years = np.repeat(np.array(years, dtype=np.int64), pub_sizes)
+        except OverflowError:
+            member_years = np.repeat(np.array(years, dtype=object), pub_sizes)
         last_years = np.full(len(author_number), member_years.min(initial=0),
                              dtype=member_years.dtype)  # no later than any year
         np.maximum.at(last_years, pub_members, member_years)

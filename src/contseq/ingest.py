@@ -12,16 +12,18 @@ The corpus file format is line-delimited JSON, one publication per line:
 ``schema_version`` is required and must currently be 1. ``country`` may be
 omitted (or null) when the source data does not identify one; such records
 are later rejected as country-unidentifiable rather than malformed. Unknown
-extra fields are ignored. Blank lines are skipped. Malformed lines, and
-lines that are not valid UTF-8, never abort a run: they come back as
-:class:`MalformedRecord` notices and are tallied in the
-:class:`IngestReport`.
+extra fields are ignored. Blank lines are skipped. Every reader reads a line
+through one function, ``_decode_line``, which decodes and parses it once.
+Malformed lines, lines that are not valid UTF-8 and lines whose strings hold
+an unpaired surrogate escape never abort a run: they come back as
+:class:`MalformedRecord` notices and are tallied in the :class:`IngestReport`.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import asdict, astuple, dataclass
 from operator import add, attrgetter, itemgetter, methodcaller
 from typing import Callable, Iterable, Iterator
@@ -99,70 +101,78 @@ class IngestReport:
         return {**asdict(self), "total": self.total}
 
 
-class _SchemaError(Exception):
-    pass
-
-
-def _checked(obj) -> tuple[str, int, list]:
-    """``(pub_id, year, authors)`` of a decoded corpus line once every schema
-    check has passed; ``authors`` is the line's own list of author objects,
-    in which a blank ``country`` is set to None. A violation raises
-    :class:`_SchemaError`."""
+def _decode_line(line: str | bytes) -> tuple[str, int, list] | str | None:
+    """A corpus line's ``(pub_id, year, authors)`` once every schema check has
+    passed, None if it is blank, else the message of the first failed check.
+    ``authors`` is the line's own list of author objects, in which a blank
+    ``country`` is set to None. Bytes are decoded as UTF-8."""
+    try:
+        text = line.decode("utf-8") if isinstance(line, bytes) else line
+        obj = json.loads(text)
+        # decoded UTF-8 holds no surrogate, but a \ud800-\udfff escape can spell one
+        if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"invalid UTF-8: {exc.reason} at byte {exc.start}"
+    except UnicodeEncodeError:
+        return "invalid Unicode: unpaired surrogate escape"
+    except (ValueError, RecursionError) as exc:  # also an overlong number or deep nesting
+        # json.loads rejects every blank line, so only a failed line is tested
+        return None if text.isspace() or not text else f"invalid JSON: {getattr(exc, 'msg', exc)}"
     if not isinstance(obj, dict):
-        raise _SchemaError("record is not a JSON object")
+        return "record is not a JSON object"
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise _SchemaError(f"unsupported schema_version {version!r}")
+        return f"unsupported schema_version {version!r}"
     pub_id = obj.get("id")
     if not isinstance(pub_id, str) or not pub_id.strip():
-        raise _SchemaError("missing or empty 'id'")
+        return "missing or empty 'id'"
     year = obj.get("year")
     if isinstance(year, bool) or not isinstance(year, int):
-        raise _SchemaError("'year' must be an integer")
+        return "'year' must be an integer"
     authors = obj.get("authors")
     if not isinstance(authors, list) or not authors:
-        raise _SchemaError("'authors' must be a non-empty array")
+        return "'authors' must be a non-empty array"
     for i, author in enumerate(authors):
         if not isinstance(author, dict):
-            raise _SchemaError(f"author {i} is not an object")
+            return f"author {i} is not an object"
         author_id = author.get("author_id")
         if not isinstance(author_id, str) or not author_id.strip():
-            raise _SchemaError(f"author {i}: missing or empty 'author_id'")
+            return f"author {i}: missing or empty 'author_id'"
         affiliations = author.get("affiliations")
         if not isinstance(affiliations, list) or not affiliations:
-            raise _SchemaError(f"author {i}: 'affiliations' must be a non-empty array")
+            return f"author {i}: 'affiliations' must be a non-empty array"
         for j, aff in enumerate(affiliations):
             if not isinstance(aff, dict):
-                raise _SchemaError(f"author {i}, affiliation {j}: not an object")
+                return f"author {i}, affiliation {j}: not an object"
             institution = aff.get("institution")
             if not isinstance(institution, str) or not institution.strip():
-                raise _SchemaError(f"author {i}, affiliation {j}: missing or empty 'institution'")
+                return f"author {i}, affiliation {j}: missing or empty 'institution'"
             country = aff.get("country")
             if country is not None:
                 if not isinstance(country, str):
-                    raise _SchemaError(f"author {i}, affiliation {j}: 'country' must be a string")
+                    return f"author {i}, affiliation {j}: 'country' must be a string"
                 if not country.strip():
                     aff["country"] = None
     return pub_id, year, authors
 
 
-def parse_record_line(line: str | bytes,
-                      line_number: int = 0) -> PublicationRecord | MalformedRecord:
-    """Parse one corpus line (bytes are decoded as UTF-8); schema violations
-    become notices, not errors."""
-    try:
-        pub_id, year, authors = _checked(
-            json.loads(line.decode("utf-8") if isinstance(line, bytes) else line))
-    except UnicodeDecodeError as exc:
-        return MalformedRecord(line_number, f"invalid UTF-8: {exc.reason} at byte {exc.start}")
-    except (ValueError, RecursionError) as exc:  # also an overlong number or deep nesting
-        return MalformedRecord(line_number, f"invalid JSON: {getattr(exc, 'msg', exc)}")
-    except _SchemaError as exc:
-        return MalformedRecord(line_number, str(exc))
+def _record(fields: tuple | str, line_number: int) -> PublicationRecord | MalformedRecord:
+    """The record of :func:`_decode_line`'s fields, or the notice of its message."""
+    if isinstance(fields, str):
+        return MalformedRecord(line_number, fields)
+    pub_id, year, authors = fields
     return PublicationRecord(pub_id, year, tuple(
         AuthorRecord(author["author_id"], tuple(
             Affiliation(aff["institution"], aff.get("country")) for aff in author["affiliations"]))
         for author in authors))
+
+
+def parse_record_line(line: str | bytes,
+                      line_number: int = 0) -> PublicationRecord | MalformedRecord:
+    """Parse one corpus line (bytes are decoded as UTF-8); schema violations,
+    and a blank line, become notices, not errors."""
+    return _record(_decode_line(line) or "invalid JSON: Expecting value", line_number)
 
 
 def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord]:
@@ -174,25 +184,19 @@ def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord
     raises the underlying OSError; a malformed line never stops the stream.
     """
     with opened(source, binary=True) as lines:
-        for line_number, line in enumerate(lines, 1):
-            if (line.decode("utf-8", "replace") if isinstance(line, bytes) else line).strip():
-                yield parse_record_line(line, line_number)
+        for line_number, fields in enumerate(map(_decode_line, lines), 1):
+            if fields is not None:
+                yield _record(fields, line_number)
 
 
 def store_fields(source: Source) -> Iterator[tuple[str, int, list[str]]]:
-    """Stream ``(pub_id, year, author_ids)`` from a corpus file in input order.
-
-    Yields exactly the records :func:`parse_corpus` yields as
-    :class:`PublicationRecord` (the same schema checks run), but builds no
-    record; malformed lines are skipped without a notice.
-    """
+    """Stream the ``(pub_id, year, author_ids)`` of each record that
+    :func:`parse_corpus` yields, in input order, but build no record."""
     with opened(source, binary=True) as lines:
-        for line in lines:
-            try:
-                pub_id, year, authors = _checked(json.loads(line.decode("utf-8")))
-            except (ValueError, RecursionError, _SchemaError):
-                continue
-            yield pub_id, year, [author["author_id"] for author in authors]
+        for fields in map(_decode_line, lines):
+            if type(fields) is tuple:
+                pub_id, year, authors = fields
+                yield pub_id, year, [author["author_id"] for author in authors]
 
 
 def _labels_or_reject(affiliation_lists: Iterable, limit: int,
@@ -248,22 +252,18 @@ class SequenceMapper:
     def map_lines(self, lines: Iterable[bytes]) -> tuple[str, IngestReport,
                                                          list[MalformedRecord], int]:
         """The accepted records' sequences, one per line; the report; the
-        :func:`parse_record_line` notices of the first :data:`MAX_NOTICES`
-        malformed lines, numbered from 1; and the number of lines read."""
+        notices of the first :data:`MAX_NOTICES` malformed lines, numbered
+        from 1; and the number of lines read."""
         limit, memo = self.policy.max_affiliations_per_author, self._memo
         report, notices, out, number = IngestReport(), [], [], 0
-        for number, line in enumerate(lines, 1):
-            try:
-                text = line.decode("utf-8")
-                if text.isspace() or not text:
-                    continue
-                authors = _checked(json.loads(text))[2]
-            except (ValueError, RecursionError, _SchemaError):
-                report.rejected_malformed += 1
-                if len(notices) < MAX_NOTICES:
-                    notices.append(parse_record_line(line, number))
+        for number, fields in enumerate(map(_decode_line, lines), 1):
+            if type(fields) is not tuple:
+                if fields is not None:
+                    report.rejected_malformed += 1
+                    if len(notices) < MAX_NOTICES:
+                        notices.append(MalformedRecord(number, fields))
                 continue
-            result = _labels_or_reject(map(_AFFILIATIONS, authors), limit, _COUNTRY)
+            result = _labels_or_reject(map(_AFFILIATIONS, fields[2]), limit, _COUNTRY)
             if result is not RejectReason.TOO_MANY_AFFILIATIONS:
                 result = memo[result] if result in memo else self._render(result)
             report.tally(result)

@@ -22,6 +22,10 @@ from helpers import coauthored
 
 GOOD_RECORD = record_to_json(coauthored("p1", ["A", "B"])).encode() + b"\n"
 BAD_UTF8 = b'{"schema_version": 1, "id": "p\xff"}\n'
+#: A record of A and a co-author whose ids hold unpaired surrogate escapes.
+LONE_SURROGATE = json.dumps({"schema_version": 1, "id": "p\ud800", "year": 2020, "authors": [
+    {"author_id": author, "affiliations": [{"institution": "I", "country": "Poland"}]}
+    for author in ("A", "b\udfff")]}).encode() + b"\n"
 RANK_HEADER = b"rank,sequence,count,percent\n"
 HEAP_HEADER = b"n,v,repeats,v_mean,v_sd\n"
 
@@ -46,6 +50,8 @@ CASES = {
     "corpus-invalid-utf8-map": (MAP, GOOD_RECORD + BAD_UTF8, 0),
     "corpus-invalid-utf8-only-map": (MAP, BAD_UTF8, 2),
     "corpus-invalid-utf8-crawl": (CRAWL, BAD_UTF8 + GOOD_RECORD, 0),
+    "corpus-lone-surrogate-map": (MAP, LONE_SURROGATE, 2),
+    "corpus-lone-surrogate-crawl": (CRAWL, LONE_SURROGATE + GOOD_RECORD, 0),
     "sequences-missing-rank": (RANK, MISSING, 1),
     "sequences-missing-heap": (HEAP, MISSING, 1),
     "sequences-empty-rank": (RANK, b"", 2),

@@ -99,7 +99,7 @@ def store_lines(draw) -> bytes:
     authors = draw(st.lists(st.sampled_from(AUTHOR_IDS), min_size=1, max_size=4))
     obj = {"schema_version": 1, "id": draw(st.sampled_from(PUB_IDS)),
            "year": draw(st.one_of(st.integers(1990, 2030),
-                                  st.sampled_from([-40, 2 ** 63, 10 ** 20]))),
+                                  st.sampled_from([-40, 2 ** 63, 2 ** 63 + 1, 10 ** 20]))),
            "authors": [{"author_id": a, "affiliations": [
                {"institution": "I", "country": draw(st.sampled_from(["Poland", " ", None]))}]}
                for a in authors]}
@@ -137,7 +137,10 @@ def test_from_file_agrees_with_oracle(lines):
     assert store.publication_ids() == oracle.publication_ids()
     for author in (*AUTHOR_IDS, " "):
         assert _answer(store.publications_of, author) == _answer(oracle.publications_of, author)
-        assert _answer(store.profile, author) == _answer(oracle.profile, author)
+        profile = _answer(store.profile, author)
+        assert profile == _answer(oracle.profile, author)
+        if isinstance(profile, AuthorProfile):  # 2019.0 == 2019: equality misses a float
+            assert type(profile.last_publication_year) is int
     for pub in (*PUB_IDS, "p9"):
         assert _answer(store.authors_of, pub) == _answer(oracle.authors_of, pub)
 

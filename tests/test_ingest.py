@@ -23,6 +23,36 @@ def line(pub_id="p1", year=2020, authors=None, **extra):
     return json.dumps(obj)
 
 
+#: A malformed line and its exact message; map prints these on stderr.
+MALFORMED = {
+    "not json at all": "invalid JSON: Expecting value",
+    json.dumps({"id": "p", "year": 2020, "authors": []}):  # no schema_version
+        "unsupported schema_version None",
+    json.dumps({"schema_version": 99, "id": "p", "year": 2020, "authors": []}):
+        "unsupported schema_version 99",
+    line(year="2020"): "'year' must be an integer",
+    line(year=True): "'year' must be an integer",
+    json.dumps({"schema_version": 1, "id": "", "year": 2020, "authors": [{}]}):
+        "missing or empty 'id'",
+    line(authors=[]): "'authors' must be a non-empty array",
+    line(authors=[{"author_id": "a", "affiliations": []}]):
+        "author 0: 'affiliations' must be a non-empty array",
+    line(authors=[{"author_id": "", "affiliations": [{"institution": "x"}]}]):
+        "author 0: missing or empty 'author_id'",
+    line(authors=[{"author_id": "a", "affiliations": [{"institution": ""}]}]):
+        "author 0, affiliation 0: missing or empty 'institution'",
+    line(authors=[{"author_id": "a", "affiliations": [{"institution": "x", "country": 7}]}]):
+        "author 0, affiliation 0: 'country' must be a string",
+    "[1, 2, 3]": "record is not a JSON object",
+    b'{"schema_version": 1, "id": "p\xff"}': "invalid UTF-8: invalid start byte at byte 30",
+    " \t\n": "invalid JSON: Expecting value",  # blank: malformed on its own
+    line("p\ud800"): "invalid Unicode: unpaired surrogate escape",
+    line(authors=[{"author_id": "b\udfff", "affiliations": [{"institution": "x"}]}]):
+        "invalid Unicode: unpaired surrogate escape",
+    line("p\udbff").replace("dbff", "DBFF"): "invalid Unicode: unpaired surrogate escape",
+}
+
+
 class TestParse:
     def test_two_author_line(self):
         text = line(authors=[
@@ -50,22 +80,12 @@ class TestParse:
         items = list(parse_corpus(source))
         assert len(items) == 1 and isinstance(items[0], PublicationRecord)
 
-    @pytest.mark.parametrize("bad", [
-        "not json at all",
-        json.dumps({"id": "p", "year": 2020, "authors": []}),  # no schema_version
-        json.dumps({"schema_version": 99, "id": "p", "year": 2020, "authors": []}),
-        line(year="2020"),
-        line(year=True),
-        json.dumps({"schema_version": 1, "id": "", "year": 2020, "authors": [{}]}),
-        line(authors=[]),
-        line(authors=[{"author_id": "a", "affiliations": []}]),
-        line(authors=[{"author_id": "", "affiliations": [{"institution": "x"}]}]),
-        line(authors=[{"author_id": "a", "affiliations": [{"institution": ""}]}]),
-        line(authors=[{"author_id": "a", "affiliations": [{"institution": "x", "country": 7}]}]),
-        "[1, 2, 3]",
-    ])
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_malformed_variants(self, bad):
-        assert isinstance(parse_record_line(bad, 3), MalformedRecord)
+        assert parse_record_line(bad, 3) == MalformedRecord(3, MALFORMED[bad])
+
+    def test_surrogate_pair_escape_is_one_character(self):
+        assert parse_record_line(line("p\U0001f600")).pub_id == "p\U0001f600"
 
     def test_blank_country_becomes_absent(self):
         parsed = parse_record_line(line(authors=[
