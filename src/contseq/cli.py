@@ -38,14 +38,14 @@ from .files import at_row, opened, read_ranges, writing
 # parse_record_line, filter_record and map_to_sequence are unused here;
 # bench/layers.py patches them by name.
 from .ingest import (MAX_NOTICES, ExclusionPolicy, IngestReport, SequenceMapper,
-                     filter_record, parse_record_line, write_corpus)
+                     filter_record, parse_record_line)
 from .mapping import load_aliases, map_to_sequence, parse_sequence, render_sequence
 from .model import ContinentSequence, ContinentTable, default_table, load_continent_table
 from .stats import (RankTable, default_sample_sizes, fit_heap, fit_zipf,
                     format_fit_report, heap_curve, read_heap_file,
                     read_rank_file, write_heap_file, write_rank_file,
                     zipf_sensitivity)
-from .syngen import SyntheticSpec, iter_corpus
+from .syngen import SyntheticSpec, corpus_lines
 
 _POINT_FORMAT = "%.8g"  # plot-data value precision
 
@@ -235,8 +235,9 @@ def cmd_gen(args) -> int:
     spec = SyntheticSpec(vocabulary_size=args.vocab, exponent=args.exponent,
                          corpus_size=args.size, seed=args.seed)
     print(f"seed {args.seed}")
-    written = write_corpus(iter_corpus(spec), out / "corpus.jsonl")
-    print(f"wrote {written} records to {out / 'corpus.jsonl'}")
+    with writing(out / "corpus.jsonl") as sink:
+        sink.writelines(corpus_lines(spec))
+    print(f"wrote {spec.corpus_size} records to {out / 'corpus.jsonl'}")
     return 0
 
 

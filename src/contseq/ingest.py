@@ -15,7 +15,7 @@ are later rejected as country-unidentifiable rather than malformed. Unknown
 extra fields are ignored. Blank lines are skipped. Every reader reads a line
 through one function, ``_decode_line``, which decodes and parses it once.
 Malformed lines, lines that are not valid UTF-8 and lines whose strings hold
-an unpaired surrogate escape never abort a run: they come back as
+an unpaired surrogate, escaped or raw, never abort a run: they come back as
 :class:`MalformedRecord` notices and are tallied in the :class:`IngestReport`.
 """
 
@@ -105,9 +105,14 @@ def _decode_line(line: str | bytes) -> tuple[str, int, list] | str | None:
     """A corpus line's ``(pub_id, year, authors)`` once every schema check has
     passed, None if it is blank, else the message of the first failed check.
     ``authors`` is the line's own list of author objects, in which a blank
-    ``country`` is set to None. Bytes are decoded as UTF-8."""
+    ``country`` is set to None. A str is read as its UTF-8 bytes."""
+    if isinstance(line, str):
+        try:
+            line = line.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a raw surrogate, which no UTF-8 spells
+            return f"invalid Unicode: unpaired surrogate at character {exc.start}"
     try:
-        text = line.decode("utf-8") if isinstance(line, bytes) else line
+        text = line.decode("utf-8")
         obj = json.loads(text)
         # decoded UTF-8 holds no surrogate, but a \ud800-\udfff escape can spell one
         if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):
@@ -302,8 +307,6 @@ def write_corpus(records: Iterable[PublicationRecord], sink: Sink) -> int:
     """Write records to a corpus file; returns the number written."""
     count = 0
     with writing(sink) as handle:
-        for record in records:
-            handle.write(record_to_json(record))
-            handle.write("\n")
-            count += 1
+        for count, record in enumerate(records, 1):
+            handle.write(record_to_json(record) + "\n")
     return count

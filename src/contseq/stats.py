@@ -282,7 +282,8 @@ def default_sample_sizes(corpus_size: int, points: int = 20,
 
 
 def _encode_corpus(corpus: Sequence) -> np.ndarray:
-    if isinstance(corpus, np.ndarray) and corpus.dtype.kind in "iu":
+    if isinstance(corpus, np.ndarray) and corpus.dtype.kind in "iu" and (
+            not corpus.size or 0 <= corpus.min() and corpus.max() < corpus.size):
         return corpus
     codes: dict = {}
     return np.fromiter((codes.setdefault(item, len(codes)) for item in corpus),
@@ -304,7 +305,7 @@ def heap_curve(corpus: Sequence, sample_sizes: Sequence[int] | None = None,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     codes = _encode_corpus(corpus)
-    size = len(codes)
+    size, span = len(codes), int(codes.max(initial=0)) + 1
     if sample_sizes is None:
         sample_sizes = default_sample_sizes(size)
     points = []
@@ -315,8 +316,9 @@ def heap_curve(corpus: Sequence, sample_sizes: Sequence[int] | None = None,
         for repeat_index in range(repeats):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((seed, size_index, repeat_index))))
-            indices = rng.choice(size, size=n, replace=False)
-            values.append(int(np.unique(codes[indices]).size))
+            seen = np.zeros(span, dtype=bool)  # a flag per code: no sort, no cast of the sample
+            seen[codes[rng.choice(size, size=n, replace=False)]] = True
+            values.append(int(np.count_nonzero(seen)))
         arr = np.array(values, dtype=np.float64)
         sd = float(arr.std(ddof=1)) if repeats > 1 else 0.0
         points.append(HeapPoint(int(n), values[0], repeats, float(arr.mean()), sd))

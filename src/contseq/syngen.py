@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .ingest import record_to_json
 from .model import (Affiliation, AuthorRecord, CONTINENTS, Continent,
                     ContinentSequence, ContinentTable, PublicationRecord,
                     default_table)
@@ -89,44 +90,52 @@ def sample_type_indices(spec: SyntheticSpec) -> np.ndarray:
     Inverse-CDF sampling: uniforms from ``PCG64(SeedSequence(seed))`` pushed
     through searchsorted on the cumulative type probabilities.
     """
-    if spec.corpus_size == 0:
-        return np.empty(0, dtype=np.int64)
     cdf = np.cumsum(type_probabilities(spec))
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
     uniforms = rng.random(spec.corpus_size)
-    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
+    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64, copy=False)
 
 
 def _template_authors(type_number: int, sequence: ContinentSequence,
                       pools: dict[Continent, tuple[str, ...]]) -> tuple[AuthorRecord, ...]:
-    authors = []
-    member = 0
-    for continent, n_countries in sequence.parts:
-        for label in pools[continent][:n_countries]:
-            member += 1
-            authors.append(AuthorRecord(
-                f"s{type_number:05d}-a{member:02d}",
-                (Affiliation(f"synthetic institute {type_number}-{member}", label),)))
-    return tuple(authors)
+    labels = [label for continent, n in sequence.parts for label in pools[continent][:n]]
+    return tuple(
+        AuthorRecord(f"s{type_number:05d}-a{member:02d}",
+                     (Affiliation(f"synthetic institute {type_number}-{member}", label),))
+        for member, label in enumerate(labels, 1))
+
+
+def _draws(spec: SyntheticSpec, table: ContinentTable | None) -> Iterator[tuple]:
+    """The type index, id, year and template authors of each publication."""
+    if table is None:
+        table = default_table()
+    vocabulary = sequence_vocabulary(spec.vocabulary_size, table)
+    pools = table.countries_by_continent()
+    templates: dict[int, tuple[AuthorRecord, ...]] = {}
+    for i, key in enumerate(memoryview(sample_type_indices(spec))):  # Python ints
+        if key not in templates:
+            templates[key] = _template_authors(key + 1, vocabulary[key], pools)
+        yield key, f"syn-{i:08d}", 2015 + (i % 9), templates[key]
 
 
 def iter_corpus(spec: SyntheticSpec,
                 table: ContinentTable | None = None) -> Iterator[PublicationRecord]:
     """Stream the corpus for ``spec`` without holding it all in memory."""
-    if table is None:
-        table = default_table()
-    indices = sample_type_indices(spec)
-    vocabulary = sequence_vocabulary(spec.vocabulary_size, table)
-    pools = table.countries_by_continent()
-    templates: dict[int, tuple[AuthorRecord, ...]] = {}
-    for i, type_index in enumerate(indices):
-        key = int(type_index)
-        authors = templates.get(key)
-        if authors is None:
-            authors = _template_authors(key + 1, vocabulary[key], pools)
-            templates[key] = authors
-        yield PublicationRecord(f"syn-{i:08d}", 2015 + (i % 9), authors)
+    return (PublicationRecord(pub_id, year, authors)
+            for _, pub_id, year, authors in _draws(spec, table))
+
+
+def corpus_lines(spec: SyntheticSpec, table: ContinentTable | None = None) -> Iterator[str]:
+    """The lines ``write_corpus(iter_corpus(spec, table))`` writes, cut from one
+    :func:`record_to_json` line per new type or year: a head per year, a tail per type."""
+    heads, tails = {}, {}
+    for key, pub_id, year, authors in _draws(spec, table):
+        if key not in tails or year not in heads:
+            line = record_to_json(PublicationRecord("%s", year, authors))
+            cut = line.index(',"authors":')
+            heads[year], tails[key] = line[:cut], line[cut:] + "\n"
+        yield heads[year] % pub_id + tails[key]
 
 
 def generate_corpus(spec: SyntheticSpec,

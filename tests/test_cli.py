@@ -1,16 +1,21 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import contseq
+from contseq import cli
 from contseq.cli import main
 from contseq.ingest import write_corpus
 from contseq.model import ContinentTable
 from contseq.stats import read_heap_file
+from contseq.syngen import SyntheticSpec, corpus_lines, iter_corpus
 from golden import GOLDEN_RANK_LINES, fixture_sequences
 from helpers import coauthored, record
 
@@ -216,6 +221,30 @@ class TestGenCommand:
 
     def test_gen_bad_spec_exits_1(self, tmp_path):
         assert main(["gen", "--output-dir", str(tmp_path), "--vocab", "0"]) == 1
+
+    def test_gen_and_write_corpus_match_the_pinned_corpus(self, tmp_path):
+        # sha256 of this gen's corpus.jsonl when gen still serialized every record
+        pinned = "00a018f27cf5978f277b180d53316c0b479740b62d4aa264d67df8e296b99906"
+        assert main(["gen", "--output-dir", str(tmp_path), "--vocab", "40",
+                     "--exponent", "1.9", "--size", "2000", "--seed", "3"]) == 0
+        assert hashlib.sha256((tmp_path / "corpus.jsonl").read_bytes()).hexdigest() == pinned
+        records = io.StringIO()
+        write_corpus(iter_corpus(SyntheticSpec(40, 1.9, 2000, seed=3)), records)
+        assert hashlib.sha256(records.getvalue().encode()).hexdigest() == pinned
+
+    def test_failed_gen_leaves_previous_corpus(self, tmp_path, monkeypatch):
+        argv = ["gen", "--output-dir", str(tmp_path), "--vocab", "40", "--size", "500"]
+        assert main(argv) == 0
+        before = (tmp_path / "corpus.jsonl").read_bytes()
+
+        def failing(spec):
+            yield from islice(corpus_lines(spec), 100)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "corpus_lines", failing)
+        assert main(argv + ["--seed", "1"]) == 1
+        assert (tmp_path / "corpus.jsonl").read_bytes() == before
+        assert [path.name for path in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
 class TestCrawlCommand:

@@ -14,13 +14,14 @@ from helpers import publication_countries, record
 from strategies import publication_records
 
 
-def line(pub_id="p1", year=2020, authors=None, **extra):
+def line(pub_id="p1", year=2020, authors=None, raw=False, **extra):
+    """A corpus line; with ``raw``, its strings' characters are not escaped."""
     if authors is None:
         authors = [{"author_id": "a1",
                     "affiliations": [{"institution": "inst", "country": "Poland"}]}]
     obj = {"schema_version": SCHEMA_VERSION, "id": pub_id, "year": year,
            "authors": authors, **extra}
-    return json.dumps(obj)
+    return json.dumps(obj, ensure_ascii=not raw)
 
 
 #: A malformed line and its exact message; map prints these on stderr.
@@ -50,6 +51,15 @@ MALFORMED = {
     line(authors=[{"author_id": "b\udfff", "affiliations": [{"institution": "x"}]}]):
         "invalid Unicode: unpaired surrogate escape",
     line("p\udbff").replace("dbff", "DBFF"): "invalid Unicode: unpaired surrogate escape",
+    # a str line may hold a raw surrogate, which no UTF-8 line can
+    line("p\ud800", raw=True): "invalid Unicode: unpaired surrogate at character 30",
+    line(authors=[{"author_id": "b\udfff", "affiliations": [{"institution": "x"}]}], raw=True):
+        "invalid Unicode: unpaired surrogate at character 76",
+    line(authors=[{"author_id": "a", "affiliations": [{"institution": "x\ud800"}]}], raw=True):
+        "invalid Unicode: unpaired surrogate at character 114",
+    line(authors=[{"author_id": "a",
+                   "affiliations": [{"institution": "x", "country": "\udc00land"}]}], raw=True):
+        "invalid Unicode: unpaired surrogate at character 129",
 }
 
 

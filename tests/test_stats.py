@@ -163,6 +163,16 @@ class TestHeapCurve:
         curve = heap_curve(codes, sample_sizes=[300], repeats=1, seed=0)
         assert curve.points[0].v == 9
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_any_integer_codes_count_as_strings(self, dtype):
+        # negative, huge and unsigned codes are renumbered before they index anything
+        labels = [(i * 7919) % 13 for i in range(600)]
+        big = [10**12 + 3 * label if label % 2 else -label for label in labels]
+        if dtype is np.uint64:
+            big = [abs(code) for code in big]
+        expected = heap_curve([str(label) for label in labels], repeats=3, seed=4)
+        assert heap_curve(np.array(big, dtype=dtype), repeats=3, seed=4) == expected
+
     def test_default_sample_sizes(self):
         sizes = default_sample_sizes(1_000_000)
         assert sizes[0] == 100 and sizes[-1] == 1_000_000 and len(sizes) == 20

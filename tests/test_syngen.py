@@ -2,13 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from contseq.ingest import ExclusionPolicy, filter_record, write_corpus
 from contseq.mapping import map_to_sequence, render_sequence
 from contseq.model import Continent, ContinentTable
 from contseq.stats import RankTable, build_rank_table, fit_zipf
-from contseq.syngen import (SyntheticSpec, generate_corpus, iter_corpus,
+from contseq.syngen import (SyntheticSpec, corpus_lines, generate_corpus, iter_corpus,
                             sample_type_indices, sequence_vocabulary,
                             type_probabilities)
 
@@ -84,6 +85,15 @@ class TestCorpus:
         indices = sample_type_indices(spec)
         for record, type_index in zip(iter_corpus(spec), indices):
             assert map_to_sequence(record, table) == vocabulary[type_index]
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 5000), st.floats(0.5, 3.0), st.integers(0, 3000),
+           st.integers(0, 2**128))
+    def test_gen_lines_are_write_corpus_lines(self, vocab, exponent, size, seed):
+        spec = SyntheticSpec(vocab, exponent, size, seed)
+        records = io.StringIO()
+        write_corpus(iter_corpus(spec), records)
+        assert "".join(corpus_lines(spec)) == records.getvalue()
 
     def test_unique_pub_ids_and_years(self):
         records = generate_corpus(SyntheticSpec(10, 1.9, 30, seed=0))
