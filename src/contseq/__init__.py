@@ -17,11 +17,11 @@ from .ingest import (ExclusionPolicy, IngestReport, MalformedRecord,
                      RejectReason, SCHEMA_VERSION, classify, filter_record,
                      parse_corpus, parse_record_line, record_to_json,
                      write_corpus)
-from .mapping import (load_aliases, map_to_sequence, parse_sequence,
-                      render_sequence)
+from .mapping import map_to_sequence, parse_sequence, render_sequence
 from .model import (Affiliation, AuthorRecord, CONTINENTS, Continent,
                     ContinentSequence, ContinentTable, PublicationRecord,
-                    default_table, load_continent_table, normalize_label)
+                    default_table, load_aliases, load_continent_table,
+                    normalize_label)
 from .stats import (FitResult, HeapCurve, HeapPoint, RankEntry, RankTable,
                     build_rank_table, default_sample_sizes, fit_heap, fit_zipf,
                     format_fit_report, heap_curve, read_heap_file,

@@ -39,8 +39,9 @@ from .files import at_row, opened, read_ranges, writing
 # bench/layers.py patches them by name.
 from .ingest import (MAX_NOTICES, ExclusionPolicy, IngestReport, SequenceMapper,
                      filter_record, parse_record_line)
-from .mapping import load_aliases, map_to_sequence, parse_sequence, render_sequence
-from .model import ContinentSequence, ContinentTable, default_table, load_continent_table
+from .mapping import map_to_sequence, parse_sequence, render_sequence
+from .model import (ContinentSequence, ContinentTable, default_table, load_aliases,
+                    load_continent_table)
 from .stats import (RankTable, default_sample_sizes, fit_heap, fit_zipf,
                     format_fit_report, heap_curve, read_heap_file,
                     read_rank_file, write_heap_file, write_rank_file,
@@ -78,9 +79,7 @@ def _rank_window(text: str) -> tuple[int | None, int | None]:
 
 def _load_table(continents: str | None, aliases: str | None) -> ContinentTable:
     table = load_continent_table(continents) if continents else default_table()
-    if aliases:
-        table = table.with_aliases(load_aliases(aliases, table))
-    return table
+    return load_aliases(aliases, table) if aliases else table
 
 
 def _out_dir(args) -> Path:
@@ -252,6 +251,8 @@ def cmd_crawl(args) -> int:
     if skipped := getattr(store, "duplicates_skipped", 0):
         print(f"warning: duplicate publication ids: kept the first record of each, "
               f"skipped {skipped}", file=sys.stderr)
+    if malformed := getattr(store, "malformed_skipped", 0):
+        print(f"warning: skipped {malformed} malformed lines", file=sys.stderr)
     policy = CrawlPolicy(max_distance=args.max_distance,
                          min_total_publications=args.min_pubs,
                          min_last_publication_year=args.min_year,

@@ -81,9 +81,10 @@ class PublicationStore(Protocol):
 
 
 #: One range's index columns: its publication ids, their years, the ``int64``
-#: end of each record's author numbers, those ``int32`` numbers, and the
-#: author ids that the numbers index, in first-seen order.
-Columns = tuple[list[str], list[int], array, array, list[str]]
+#: end of each record's author numbers, those ``int32`` numbers, the author
+#: ids that the numbers index, in first-seen order, and the number of
+#: malformed lines in the range.
+Columns = tuple[list[str], list[int], array, array, list[str], int]
 
 
 def _numbering() -> defaultdict:
@@ -91,26 +92,32 @@ def _numbering() -> defaultdict:
     return defaultdict(count().__next__)
 
 
-def _columns(entries: Iterable[tuple[str, int, list[str]]]) -> Columns:
-    """The columns of ``(pub_id, year, author_ids)`` entries; an author
+def _columns(entries: Iterable[tuple[str, int, list[str]] | str]) -> Columns:
+    """The columns of ``(pub_id, year, author_ids)`` entries, counting each
+    str entry (a malformed line's message) as a malformed line; an author
     listed twice in one entry counts once."""
     pub_ids, years, ends, members, authors = [], [], array("q"), array("i"), _numbering()
-    for pub_id, year, author_ids in entries:
+    malformed = 0
+    for entry in entries:
+        if type(entry) is str:
+            malformed += 1
+            continue
+        pub_id, year, author_ids = entry
         pub_ids.append(pub_id)
         years.append(year)
         members.extend(map(authors.__getitem__, dict.fromkeys(author_ids)))
         ends.append(len(members))
-    return pub_ids, years, ends, members, list(authors)
+    return pub_ids, years, ends, members, list(authors), malformed
 
 
 def _file_columns(lines: Iterable[bytes]) -> Columns:
-    """The columns of the records in some corpus lines (a range worker's task)."""
+    """The columns of some corpus lines (a range worker's task)."""
     return _columns(store_fields(lines))
 
 
 def _keep(columns: Columns, kept: list[int]) -> Columns:
     """``columns`` cut down to the records at the ``kept`` indices."""
-    pub_ids, years, ends, members, authors = columns
+    pub_ids, years, ends, members, authors, _ = columns
     starts = [0, *ends]
     return _columns((pub_ids[i], years[i], [authors[m] for m in members[starts[i]:ends[i]]])
                     for i in kept)
@@ -134,16 +141,18 @@ class CorpusStore:
     """
 
     duplicates_skipped = 0  # records from_file skipped for a repeated publication id
+    malformed_skipped = 0  # malformed lines from_file skipped
 
     def __init__(self, records: Iterable[PublicationRecord]):
-        duplicates = self._index([_columns(
+        duplicates, _ = self._index([_columns(
             (r.pub_id, r.year, [a.author_id for a in r.authors]) for r in records)])
         if duplicates:
             raise ValueError(f"duplicate publication id {duplicates[0]!r}")
 
-    def _index(self, parts: Iterable[Columns]) -> list[str]:
+    def _index(self, parts: Iterable[Columns]) -> tuple[list[str], int]:
         """Index the columns of consecutive parts of a corpus, keeping the
-        first record of each publication id; return the other records' ids.
+        first record of each publication id; return the other records' ids
+        and the number of malformed lines.
 
         Each of a part's publication ids, and each of its distinct authors,
         is looked up once; a part that repeats an id is cut down to the
@@ -154,7 +163,9 @@ class CorpusStore:
         end_parts = [np.zeros(1, dtype=np.int64)]
         members_before = 0
         duplicates: list[str] = []
+        malformed = 0
         for part in parts:
+            malformed += part[-1]
             pub_ids, before = part[0], len(pub_number)
             numbers = list(map(pub_number.__getitem__, pub_ids))
             if len(pub_number) - before < len(pub_ids):
@@ -167,7 +178,7 @@ class CorpusStore:
                     else:
                         duplicates.append(pub_ids[i])
                 part = _keep(part, kept)
-            _, part_years, ends, members, author_ids = part
+            _, part_years, ends, members, author_ids, _ = part
             years.extend(part_years)
             numbered = np.fromiter(map(author_number.__getitem__, author_ids), dtype=np.int32,
                                    count=len(author_ids))
@@ -200,7 +211,7 @@ class CorpusStore:
         # an object array of years has no buffer; it is the rare case
         self._last_years = (last_years.tolist() if last_years.dtype == object
                             else memoryview(last_years))
-        return duplicates
+        return duplicates, malformed
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CorpusStore":
@@ -209,13 +220,15 @@ class CorpusStore:
         The store indexes all structurally valid records: the crawl operates
         on the raw collection, and the article-exclusion rules apply later,
         at mapping time. Of records sharing a publication id the first is
-        kept; ``duplicates_skipped`` counts the rest. The file is read by
+        kept; ``duplicates_skipped`` counts the rest, and
+        ``malformed_skipped`` the malformed lines. The file is read by
         :func:`~contseq.files.read_ranges` on one worker per core; the store
         does not depend on their number.
         """
         store = cls.__new__(cls)
-        store.duplicates_skipped = len(store._index(
-            read_ranges(path, _file_columns, os.cpu_count() or 1)))
+        duplicates, store.malformed_skipped = store._index(
+            read_ranges(path, _file_columns, os.cpu_count() or 1))
+        store.duplicates_skipped = len(duplicates)
         return store
 
     def _author(self, author_id: str) -> int:

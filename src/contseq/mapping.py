@@ -13,10 +13,8 @@ import re
 from collections import Counter
 from typing import Iterable
 
-from .errors import ContractViolationError, SequenceFormatError, TableFormatError, TableValidationError
-from .files import Source, at_row, read_csv
-from .model import (Continent, ContinentSequence, ContinentTable, PublicationRecord,
-                    normalize_label)
+from .errors import ContractViolationError, SequenceFormatError
+from .model import Continent, ContinentSequence, ContinentTable, PublicationRecord
 
 
 def map_to_sequence(record: PublicationRecord, table: ContinentTable) -> ContinentSequence:
@@ -83,31 +81,3 @@ def parse_sequence(text: str) -> ContinentSequence:
     except ValueError as exc:
         raise SequenceFormatError(f"invalid sequence {text!r}: {exc}") from None
 
-
-def load_aliases(source: Source, table: ContinentTable | None = None) -> dict[str, str]:
-    """Load an ``alias,canonical_label`` table.
-
-    Aliased labels are rewritten to their canonical label before continent
-    lookup, so an alias and its target count as the same country. Returns a
-    plain mapping for :meth:`contseq.model.ContinentTable.with_aliases`,
-    which checks it against the table. Given that ``table`` too, each row is
-    checked as it is read, so an error names its row.
-    """
-    aliases: dict[str, str] = {}
-    seen: set[str] = set()
-    probe = None if table is None else ContinentTable(table.entries, table.aliases)
-    for row_no, row in read_csv(source, "alias,canonical_label", TableFormatError):
-        alias, target = row[0].strip(), row[1].strip()
-        if not alias or not target:
-            raise TableFormatError(at_row(source, row_no, "empty alias or target"))
-        key = normalize_label(alias)
-        if key in seen:
-            raise TableValidationError(at_row(source, row_no, f"duplicate alias {alias!r}"))
-        seen.add(key)
-        aliases[alias] = target
-        if probe is not None:
-            try:
-                probe._redirect(alias, target)
-            except TableValidationError as exc:
-                raise TableValidationError(at_row(source, row_no, exc)) from None
-    return aliases

@@ -132,40 +132,51 @@ class ContinentTable:
     table) to its continent. ``aliases`` optionally redirects alternative
     spellings to a canonical label, so aliased labels count as the same
     country. Lookup is tolerant of case and whitespace via
-    :func:`normalize_label`.
+    :func:`normalize_label`. Each row is checked once, as the table is built,
+    by :meth:`_add_territory` or :meth:`_add_alias`.
     """
 
     def __init__(self, entries: Mapping[str, Continent],
                  aliases: Mapping[str, str] | None = None):
-        self.entries = dict(entries)
-        self.aliases = dict(aliases or {})
+        self.entries: dict[str, Continent] = {}
+        self.aliases: dict[str, str] = {}
+        # normalized label -> (canonical label, continent); _lookup adds the aliases
+        self._territories: dict[str, tuple[str, Continent]] = {}
         self._lookup: dict[str, tuple[str, Continent]] = {}
-        for label, continent in self.entries.items():
-            if not isinstance(continent, Continent):
-                raise TableValidationError(f"value for {label!r} is not a continent")
-            key = normalize_label(label)
-            if not key:
-                raise TableValidationError("empty territory label")
-            if key in self._lookup:
-                raise TableValidationError(f"duplicate territory label {label!r}")
-            self._lookup[key] = (label, continent)
-        for alias, target in self.aliases.items():
-            self._redirect(alias, target)
         # raw-label resolution cache; real corpora repeat a few hundred labels
         self._cache: dict[str, object] = {}
+        for label, continent in entries.items():
+            self._add_territory(label, continent)
+        for alias, target in (aliases or {}).items():
+            self._add_alias(alias, target)
 
-    def _redirect(self, alias: str, target: str) -> None:
-        """Resolve ``alias`` as ``target`` resolves, or raise TableValidationError."""
-        akey = normalize_label(alias)
-        if not akey:
+    def _add_territory(self, label: str, continent: Continent) -> None:
+        """Add a territory row, or raise TableValidationError."""
+        if not isinstance(continent, Continent):
+            raise TableValidationError(f"value for {label!r} is not a continent")
+        key = normalize_label(label)
+        if not key:
+            raise TableValidationError("empty territory label")
+        if key in self._lookup:
+            raise TableValidationError(f"duplicate territory {label!r}")
+        self._territories[key] = self._lookup[key] = (label, continent)
+        self.entries[label] = continent
+
+    def _add_alias(self, alias: str, target: str) -> None:
+        """Add an alias of a territory label, or raise TableValidationError."""
+        key = normalize_label(alias)
+        if not key:
             raise TableValidationError(f"empty alias {alias!r}")
-        hit = self._lookup.get(normalize_label(target))
+        if key in self._lookup:
+            raise TableValidationError(f"alias {alias!r} shadows a territory label"
+                                       if key in self._territories else
+                                       f"duplicate alias {alias!r}")
+        hit = self._territories.get(normalize_label(target))
         if hit is None:
             raise TableValidationError(
-                f"alias {alias!r} points at {target!r}, which is not in the table")
-        if akey in self._lookup:
-            raise TableValidationError(f"alias {alias!r} shadows a territory label")
-        self._lookup[akey] = hit
+                f"alias {alias!r} points at {target!r}, which is not a territory in the table")
+        self._lookup[key] = hit
+        self.aliases[alias] = target
 
     def resolve(self, label: str) -> tuple[str, Continent] | None:
         """Resolve a raw label to ``(canonical_label, continent)``.
@@ -201,9 +212,10 @@ class ContinentTable:
 
     def with_aliases(self, aliases: Mapping[str, str]) -> "ContinentTable":
         """A new table with additional alias redirections."""
-        merged = dict(self.aliases)
-        merged.update(aliases)
-        return ContinentTable(self.entries, merged)
+        table = ContinentTable(self.entries, self.aliases)
+        for alias, target in aliases.items():
+            table._add_alias(alias, target)
+        return table
 
 
 def load_continent_table(source: Source) -> ContinentTable:
@@ -215,24 +227,36 @@ def load_continent_table(source: Source) -> ContinentTable:
     number) and :class:`TableValidationError` for unknown continent names or
     duplicate territories.
     """
-    entries: dict[str, Continent] = {}
-    seen: set[str] = set()
+    table = ContinentTable({})
     for row_no, row in read_csv(source, "territory,continent", TableFormatError):
         label, continent_name = row[0].strip(), row[1].strip()
         if not label:
             raise TableFormatError(at_row(source, row_no, "empty territory label"))
         try:
-            continent = Continent.from_name(continent_name)
+            table._add_territory(label, Continent.from_name(continent_name))
         except ValueError:
             raise TableValidationError(
                 at_row(source, row_no, f"unknown continent {continent_name!r}")) from None
-        key = normalize_label(label)
-        if key in seen:
-            raise TableValidationError(
-                at_row(source, row_no, f"duplicate territory {label!r}"))
-        seen.add(key)
-        entries[label] = continent
-    return ContinentTable(entries)
+        except TableValidationError as exc:
+            raise TableValidationError(at_row(source, row_no, exc)) from None
+    return table
+
+
+def load_aliases(source: Source, table: ContinentTable) -> ContinentTable:
+    """``table`` with the aliases of an ``alias,canonical_label`` table, so an
+    alias and its target count as one country. Each target must be a
+    territory label of ``table``, never another alias. A bad row raises
+    :class:`TableFormatError` or :class:`TableValidationError` naming it."""
+    aliased = ContinentTable(table.entries, table.aliases)
+    for row_no, row in read_csv(source, "alias,canonical_label", TableFormatError):
+        alias, target = row[0].strip(), row[1].strip()
+        if not alias or not target:
+            raise TableFormatError(at_row(source, row_no, "empty alias or target"))
+        try:
+            aliased._add_alias(alias, target)
+        except TableValidationError as exc:
+            raise TableValidationError(at_row(source, row_no, exc)) from None
+    return aliased
 
 
 @lru_cache(maxsize=1)

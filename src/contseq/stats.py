@@ -217,18 +217,16 @@ SENSITIVITY_ENDS = (10, 12, 15, 18, 20, 50, 100, 200, 500, 1000, None)
 
 
 def zipf_sensitivity(table: RankTable, *, min_count: int = 10,
-                     starts: Sequence[int] = SENSITIVITY_STARTS,
-                     ends: Sequence[int | None] = SENSITIVITY_ENDS,
                      method: str = "ols") -> list[FitResult]:
-    """Fit across a battery of rank windows to expose range sensitivity.
+    """Fit across the battery of rank windows to expose range sensitivity.
 
     Windows with fewer than three usable points are skipped, as are windows
     that collapse onto an already-reported realized range.
     """
     results: list[FitResult] = []
     seen: set[tuple[float, float]] = set()
-    for start in starts:
-        for end in ends:
+    for start in SENSITIVITY_STARTS:
+        for end in SENSITIVITY_ENDS:
             if end is not None and end - start + 1 < 3:
                 continue
             try:
@@ -270,14 +268,12 @@ class HeapCurve:
     points: tuple[HeapPoint, ...]
 
 
-def default_sample_sizes(corpus_size: int, points: int = 20,
-                         smallest: int = 100) -> list[int]:
-    """Log-spaced sample sizes between ``min(smallest, corpus_size)`` and the
+def default_sample_sizes(corpus_size: int, points: int = 20) -> list[int]:
+    """Log-spaced sample sizes between ``min(100, corpus_size)`` and the
     corpus size (deduplicated, so small corpora yield fewer points)."""
     if corpus_size < 1:
         raise ValueError("corpus must be non-empty")
-    lo = min(smallest, corpus_size)
-    raw = np.geomspace(lo, corpus_size, points)
+    raw = np.geomspace(min(100, corpus_size), corpus_size, points)
     return sorted(set(int(round(v)) for v in raw))
 
 

@@ -12,7 +12,7 @@ byte-identical corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import Iterator
 
 import numpy as np
@@ -21,6 +21,8 @@ from .ingest import record_to_json
 from .model import (Affiliation, AuthorRecord, CONTINENTS, Continent,
                     ContinentSequence, ContinentTable, PublicationRecord,
                     default_table)
+
+_DRAWS_PER_CHUNK = 1 << 16  # type indices sampled at once; bounds gen's memory
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,17 +86,25 @@ def type_probabilities(spec: SyntheticSpec) -> np.ndarray:
     return weights / weights.sum()
 
 
-def sample_type_indices(spec: SyntheticSpec) -> np.ndarray:
-    """Zero-based type index per publication.
+def _type_index_chunks(spec: SyntheticSpec) -> Iterator[np.ndarray]:
+    """The zero-based type index of each publication, in ``int64`` chunks of
+    at most ``_DRAWS_PER_CHUNK``.
 
     Inverse-CDF sampling: uniforms from ``PCG64(SeedSequence(seed))`` pushed
-    through searchsorted on the cumulative type probabilities.
+    through searchsorted on the cumulative type probabilities. The chunks
+    draw the uniforms that one call for the whole corpus would.
     """
     cdf = np.cumsum(type_probabilities(spec))
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
-    uniforms = rng.random(spec.corpus_size)
-    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64, copy=False)
+    for start in range(0, spec.corpus_size, _DRAWS_PER_CHUNK):
+        uniforms = rng.random(min(_DRAWS_PER_CHUNK, spec.corpus_size - start))
+        yield np.searchsorted(cdf, uniforms, side="right").astype(np.int64, copy=False)
+
+
+def sample_type_indices(spec: SyntheticSpec) -> np.ndarray:
+    """Zero-based type index per publication, as one array."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *_type_index_chunks(spec)])
 
 
 def _template_authors(type_number: int, sequence: ContinentSequence,
@@ -106,31 +116,30 @@ def _template_authors(type_number: int, sequence: ContinentSequence,
         for member, label in enumerate(labels, 1))
 
 
-def _draws(spec: SyntheticSpec, table: ContinentTable | None) -> Iterator[tuple]:
+def _draws(spec: SyntheticSpec) -> Iterator[tuple]:
     """The type index, id, year and template authors of each publication."""
-    if table is None:
-        table = default_table()
+    table = default_table()
     vocabulary = sequence_vocabulary(spec.vocabulary_size, table)
     pools = table.countries_by_continent()
     templates: dict[int, tuple[AuthorRecord, ...]] = {}
-    for i, key in enumerate(memoryview(sample_type_indices(spec))):  # Python ints
+    keys = chain.from_iterable(map(memoryview, _type_index_chunks(spec)))  # Python ints
+    for i, key in enumerate(keys):
         if key not in templates:
             templates[key] = _template_authors(key + 1, vocabulary[key], pools)
         yield key, f"syn-{i:08d}", 2015 + (i % 9), templates[key]
 
 
-def iter_corpus(spec: SyntheticSpec,
-                table: ContinentTable | None = None) -> Iterator[PublicationRecord]:
+def iter_corpus(spec: SyntheticSpec) -> Iterator[PublicationRecord]:
     """Stream the corpus for ``spec`` without holding it all in memory."""
     return (PublicationRecord(pub_id, year, authors)
-            for _, pub_id, year, authors in _draws(spec, table))
+            for _, pub_id, year, authors in _draws(spec))
 
 
-def corpus_lines(spec: SyntheticSpec, table: ContinentTable | None = None) -> Iterator[str]:
-    """The lines ``write_corpus(iter_corpus(spec, table))`` writes, cut from one
+def corpus_lines(spec: SyntheticSpec) -> Iterator[str]:
+    """The lines ``write_corpus(iter_corpus(spec))`` writes, cut from one
     :func:`record_to_json` line per new type or year: a head per year, a tail per type."""
     heads, tails = {}, {}
-    for key, pub_id, year, authors in _draws(spec, table):
+    for key, pub_id, year, authors in _draws(spec):
         if key not in tails or year not in heads:
             line = record_to_json(PublicationRecord("%s", year, authors))
             cut = line.index(',"authors":')
@@ -138,7 +147,6 @@ def corpus_lines(spec: SyntheticSpec, table: ContinentTable | None = None) -> It
         yield heads[year] % pub_id + tails[key]
 
 
-def generate_corpus(spec: SyntheticSpec,
-                    table: ContinentTable | None = None) -> list[PublicationRecord]:
+def generate_corpus(spec: SyntheticSpec) -> list[PublicationRecord]:
     """Materialize the full synthetic corpus for ``spec``."""
-    return list(iter_corpus(spec, table))
+    return list(iter_corpus(spec))

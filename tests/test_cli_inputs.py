@@ -98,6 +98,10 @@ CASES = {
     "aliases-wrong-header": (ALIASES, b"alias,target\n", 1),
     "aliases-short-row": (ALIASES, b"alias,canonical_label\nUK\n", 1),
     "aliases-unknown-target": (ALIASES, b"alias,canonical_label\nUK,Narnia\n", 1),
+    "aliases-unknown-target-alias": (ALIASES,
+                                     b"alias,canonical_label\nUK,United Kingdom\nGB,UK\n", 1),
+    "aliases-unknown-target-alias-first": (ALIASES,
+                                           b"alias,canonical_label\nGB,UK\nUK,United Kingdom\n", 1),
     "aliases-invalid-utf8": (ALIASES, b"alias,canonical_label\nUK,United Kingdom\xff\n", 1),
     "aliases-duplicate-alias": (ALIASES,
                                 b"alias,canonical_label\nUK,United Kingdom\nuk,United Kingdom\n", 1),
@@ -217,6 +221,17 @@ def test_crawl_keeps_first_of_duplicate_ids(tmp_path, capsys):
     assert warnings[0] == []
     assert len(warnings[1]) == 1 and warnings[1][0].startswith("warning: "), warnings
     assert "skipped 1" in warnings[1][0]
+
+
+def test_crawl_warns_of_malformed_lines(tmp_path, capsys):
+    lines = [record_to_json(coauthored(pub_id, ["A", "B"])).encode() + b"\n"
+             for pub_id in ("p1", "p2", "p3", "p1", "p2")]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"".join(lines[:3]) + b"garbage\n" + b"".join(lines[3:]))
+    assert main([*CRAWL, str(corpus), "--output-dir", str(tmp_path / "out")]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 2 and "skipped 2" in warnings[0], warnings
+    assert warnings[1] == "warning: skipped 1 malformed lines"
 
 
 def _run_cli(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:

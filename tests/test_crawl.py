@@ -231,6 +231,36 @@ def test_store_reads_a_fifo_in_process(tmp_path, monkeypatch):
     assert not writer.is_alive()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_store_counts_every_non_blank_line(tmp_path, monkeypatch):
+    """indexed + duplicates + malformed = non-blank lines, at any worker
+    count and from a pipe."""
+    monkeypatch.setattr(files, "_RANGE_BYTES", RANGE)
+    data = ranged_corpus()[0]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(data)
+    items = list(parse_corpus(corpus))  # one per non-blank line
+    malformed = sum(isinstance(item, MalformedRecord) for item in items)
+    assert malformed > 0
+
+    def counts(store):
+        return len(store.publication_ids()), store.duplicates_skipped, store.malformed_skipped
+
+    builds = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cores: n)
+        builds.append(counts(CorpusStore.from_file(corpus)))
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    builds.append(counts(CorpusStore.from_file(fifo)))
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert builds == [builds[0]] * 4
+    assert builds[0][2] == malformed and sum(builds[0]) == len(items)
+
+
 def _bench_module(name: str):
     """``bench/<name>.py``, imported as ``bench_<name>``."""
     if f"bench_{name}" not in sys.modules:

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from contseq.errors import (ContractViolationError, SequenceFormatError,
                             TableFormatError, TableValidationError)
-from contseq.mapping import load_aliases, map_to_sequence, parse_sequence, render_sequence
-from contseq.model import AuthorRecord, Affiliation, Continent, ContinentSequence
+from contseq.mapping import map_to_sequence, parse_sequence, render_sequence
+from contseq.model import (AuthorRecord, Affiliation, Continent, ContinentSequence,
+                           load_aliases)
 from golden import WORKED_EXAMPLES
 from helpers import author_countries, publication_countries, record
 from strategies import continent_sequences, publication_records
@@ -133,28 +134,27 @@ class TestAliases:
         assert render_sequence(map_to_sequence(rec, aliased)) == "Europe (1)"
         assert publication_countries(rec, aliased) == {"United Kingdom"}
 
-    def test_load_aliases(self):
+    def test_load_aliases(self, table):
         got = load_aliases(io.StringIO(
-            "alias,canonical_label\nUK,United Kingdom\nUSA,United States\n"))
-        assert got == {"UK": "United Kingdom", "USA": "United States"}
+            "alias,canonical_label\nUK,United Kingdom\nUSA,United States\n"), table)
+        assert got.aliases == {"UK": "United Kingdom", "USA": "United States"}
 
-    def test_header_required(self):
+    def test_header_required(self, table):
         with pytest.raises(TableFormatError, match="header"):
-            load_aliases(io.StringIO("UK,United Kingdom\n"))
+            load_aliases(io.StringIO("UK,United Kingdom\n"), table)
 
-    def test_duplicate_alias(self):
+    def test_duplicate_alias(self, table):
         with pytest.raises(TableValidationError, match="duplicate"):
             load_aliases(io.StringIO(
-                "alias,canonical_label\nUK,United Kingdom\nuk,United Kingdom\n"))
+                "alias,canonical_label\nUK,United Kingdom\nuk,United Kingdom\n"), table)
 
-    def test_malformed_row(self):
+    def test_malformed_row(self, table):
         with pytest.raises(TableFormatError, match="row 2"):
-            load_aliases(io.StringIO("alias,canonical_label\njust-one\n"))
+            load_aliases(io.StringIO("alias,canonical_label\njust-one\n"), table)
 
     def test_shipped_example_alias_file(self, table):
         source = resources.files("contseq") / "data" / "aliases-example.csv"
         with source.open("r", encoding="utf-8") as handle:
-            aliases = load_aliases(handle)
-        extended = table.with_aliases(aliases)
+            extended = load_aliases(handle, table)
         assert extended.resolve("Hong Kong") == extended.resolve("Hong Kong SAR")
         assert extended.resolve("Viet Nam") == extended.resolve("Vietnam")

@@ -129,6 +129,16 @@ class TestAliases:
         with pytest.raises(TableValidationError, match="empty alias"):
             table.with_aliases({alias: "Poland"})
 
+    def test_two_spellings_of_one_alias_are_a_duplicate(self, table):
+        with pytest.raises(TableValidationError, match="duplicate alias 'uk '"):
+            table.with_aliases({"UK": "United Kingdom", "uk ": "United Kingdom"})
+
+    @pytest.mark.parametrize("aliases", [{"UK": "United Kingdom", "GB": "UK"},
+                                         {"GB": "UK", "UK": "United Kingdom"}])
+    def test_alias_must_not_point_at_an_alias(self, table, aliases):
+        with pytest.raises(TableValidationError, match="'GB' points at 'UK'"):
+            table.with_aliases(aliases)
+
 
 class TestSequenceType:
     def test_validation(self):

@@ -8,7 +8,7 @@ from scipy import stats as scipy_stats
 from contseq.ingest import ExclusionPolicy, filter_record, write_corpus
 from contseq.mapping import map_to_sequence, render_sequence
 from contseq.model import Continent, ContinentTable
-from contseq.stats import RankTable, build_rank_table, fit_zipf
+from contseq.stats import RankTable, fit_zipf
 from contseq.syngen import (SyntheticSpec, corpus_lines, generate_corpus, iter_corpus,
                             sample_type_indices, sequence_vocabulary,
                             type_probabilities)
@@ -78,13 +78,17 @@ class TestCorpus:
         for record in iter_corpus(spec):
             assert filter_record(record, policy, table) is None
 
-    def test_mapping_recovers_intended_type(self, table):
-        spec = SyntheticSpec(vocabulary_size=300, exponent=1.6,
-                             corpus_size=600, seed=4)
-        vocabulary = sequence_vocabulary(300, table)
+    @pytest.mark.parametrize("spec, every_type", [
+        (SyntheticSpec(vocabulary_size=300, exponent=1.6, corpus_size=600, seed=4), False),
+        (SyntheticSpec(vocabulary_size=1000, exponent=0.5, corpus_size=20_000, seed=7), True),
+    ], ids=["head", "every-type"])
+    def test_mapping_recovers_intended_type(self, table, spec, every_type):
+        vocabulary = sequence_vocabulary(spec.vocabulary_size, table)
         indices = sample_type_indices(spec)
-        for record, type_index in zip(iter_corpus(spec), indices):
+        for record, type_index in zip(iter_corpus(spec), indices, strict=True):
             assert map_to_sequence(record, table) == vocabulary[type_index]
+        if every_type:  # so test_full_pipeline_composition may count draws, not records
+            assert len(np.unique(indices)) == spec.vocabulary_size
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(1, 5000), st.floats(0.5, 3.0), st.integers(0, 3000),
@@ -127,9 +131,14 @@ class TestExponentRecovery:
         assert hits >= 18
 
     @pytest.mark.parametrize("a", [1.5, 1.9, 2.5])
-    def test_full_pipeline_composition(self, a, table):
+    def test_full_pipeline_composition(self, a):
+        # a record maps to the sequence of its drawn type, for every type
+        # (TestCorpus.test_mapping_recovers_intended_type), so the rank table
+        # of the mapped records is the one of the draws
         spec = SyntheticSpec(vocabulary_size=1000, exponent=a,
                              corpus_size=1_000_000, seed=7)
-        rank_table = build_rank_table(
-            map_to_sequence(record, table) for record in iter_corpus(spec))
+        vocabulary = sequence_vocabulary(1000)
+        counts = np.bincount(sample_type_indices(spec), minlength=1000)
+        rank_table = RankTable.from_counts(
+            {vocabulary[k]: int(c) for k, c in enumerate(counts) if c > 0})
         assert abs(fit_zipf(rank_table).exponent - a) <= 0.05
