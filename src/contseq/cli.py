@@ -22,6 +22,7 @@ and print the seed they used.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -91,6 +92,12 @@ def _out_dir(args) -> Path:
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     with writing(path) as sink:
         sink.writelines(line + "\n" for line in lines)
+
+
+def _write_csv(path: Path, rows: Iterable[tuple]) -> None:
+    """Quoted only where a cell needs it, so plain ids stay as they are."""
+    with writing(path) as sink:
+        csv.writer(sink, lineterminator="\n").writerows(rows)
 
 
 class _SequenceCodes(dict):
@@ -216,8 +223,8 @@ def cmd_heap(args) -> int:
     sizes = default_sample_sizes(len(corpus), points=args.heap_points)
     curve = heap_curve(corpus, sample_sizes=sizes, repeats=args.heap_repeats,
                        seed=args.seed)
+    fit = fit_heap(curve)  # before any write: a failed fit leaves the previous files
     write_heap_file(curve, out / "heap_curve.csv")
-    fit = fit_heap(curve)
     with writing(out / "heap_fit.txt") as sink:
         sink.write(format_fit_report(fit))
     print(f"heap exponent {fit.exponent:.6f} +/- {fit.uncertainty:.6f} "
@@ -259,10 +266,9 @@ def cmd_crawl(args) -> int:
                          collect_pruned_publications=not args.drop_pruned_pubs)
     result = crawl(store, args.seed_author, policy)
     by_distance = sorted(result.distances.items(), key=lambda kv: (kv[1], kv[0]))
-    _write_lines(out / "crawl_distances.csv", ["author_id,distance"] + [
-        f"{author},{distance}" for author, distance in by_distance])
-    _write_lines(out / "crawl_pruned.csv", ["author_id,reason"] + [
-        f"{author},{result.frontier_pruned[author].value}"
+    _write_csv(out / "crawl_distances.csv", [("author_id", "distance"), *by_distance])
+    _write_csv(out / "crawl_pruned.csv", [("author_id", "reason")] + [
+        (author, result.frontier_pruned[author].value)
         for author in sorted(result.frontier_pruned)])
     _write_lines(out / "crawl_publications.txt", sorted(result.publication_ids))
     expanded = len(result.distances) - len(result.frontier_pruned)
@@ -290,15 +296,18 @@ def cmd_plotdata(args) -> int:
     if not args.rank_file and not args.heap_file:
         raise ValueError("need --rank-file and/or --heap-file")
     out = _out_dir(args)
+    plots = []  # every fit before any write: a failed fit leaves the previous files
     if args.rank_file:
         table, fit = _fit_rank_file(args.rank_file, args, "ols")
-        _write_plot(out, "rank", [e.rank for e in table.entries],
-                    [e.frequency for e in table.entries], fit, -fit.exponent)
+        plots.append(("rank", [e.rank for e in table.entries],
+                      [e.frequency for e in table.entries], fit, -fit.exponent))
     if args.heap_file:
         curve = read_heap_file(args.heap_file)
         fit = fit_heap(curve)
-        _write_plot(out, "heap", [p.n for p in curve.points],
-                    [p.v_mean for p in curve.points], fit, fit.exponent)
+        plots.append(("heap", [p.n for p in curve.points],
+                      [p.v_mean for p in curve.points], fit, fit.exponent))
+    for plot in plots:
+        _write_plot(out, *plot)
     return 0
 
 

@@ -317,7 +317,7 @@ def crawl(store: PublicationStore, seed: str,
                 if policy.collect_pruned_publications:
                     publications.update(store.publications_of(author))
                 continue
-            for pub_id in sorted(store.publications_of(author)):
+            for pub_id in store.publications_of(author):
                 publications.add(pub_id)
                 if pub_id in enumerated:
                     continue

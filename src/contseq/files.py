@@ -38,14 +38,14 @@ def at_row(source: Source, row: int, message) -> str:
 @contextmanager
 def opened(source: Source, binary: bool = False) -> Iterator[Iterable]:
     """``source`` itself, or the file it names: UTF-8 text with its line
-    endings kept, or bytes when ``binary``. A file's UnicodeDecodeError
-    becomes a ValueError naming the file and its first row that does not
-    decode."""
+    endings kept and a leading byte-order mark dropped, or bytes when
+    ``binary``. A file's UnicodeDecodeError becomes a ValueError naming the
+    file and its first row that does not decode."""
     if not isinstance(source, (str, Path)):
         yield source
         return
     with (open(source, "rb") if binary
-          else open(source, encoding="utf-8", newline="")) as handle:
+          else open(source, encoding="utf-8-sig", newline="")) as handle:
         try:
             yield handle
         except UnicodeDecodeError:

@@ -9,14 +9,15 @@ The corpus file format is line-delimited JSON, one publication per line:
                   "affiliations": [{"institution": "<text>",
                                     "country": "<territory label>"}]}]}
 
-``schema_version`` is required and must currently be 1. ``country`` may be
-omitted (or null) when the source data does not identify one; such records
-are later rejected as country-unidentifiable rather than malformed. Unknown
-extra fields are ignored. Blank lines are skipped. Every reader reads a line
-through one function, ``_decode_line``, which decodes and parses it once.
-Malformed lines, lines that are not valid UTF-8 and lines whose strings hold
-an unpaired surrogate, escaped or raw, never abort a run: they come back as
-:class:`MalformedRecord` notices and are tallied in the :class:`IngestReport`.
+``schema_version`` is required and must currently be the integer 1.
+``country`` may be omitted (or null) when the source data does not identify
+one; such records are later rejected as country-unidentifiable rather than
+malformed. Unknown extra fields are ignored. Blank lines are skipped.
+Every reader reads a line through one function, ``_decode_line``, which
+decodes and parses it once. Malformed lines, lines that are not valid
+UTF-8 and lines whose strings hold an unpaired surrogate, escaped or raw,
+never abort a run: they come back as :class:`MalformedRecord` notices and
+are tallied in the :class:`IngestReport`.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _decode_line(line: str | bytes) -> tuple[str, int, list] | str | None:
     if not isinstance(obj, dict):
         return "record is not a JSON object"
     version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
         return f"unsupported schema_version {version!r}"
     pub_id = obj.get("id")
     if not isinstance(pub_id, str) or not pub_id.strip():

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -187,6 +188,19 @@ class TestFitCommands:
         assert (out / "heap_curve.csv").read_bytes() == first
 
 
+    def test_failed_heap_fit_keeps_previous_files(self, tmp_path):
+        """A heap run that exits 3 leaves both files of the last good run."""
+        good, short = tmp_path / "good.txt", tmp_path / "short.txt"
+        write_lines(good, [["Asia (1)", "Europe (1)", "Europe (2)"][i % 3]
+                           for i in range(300)])
+        write_lines(short, ["Asia (1)"])
+        out = tmp_path / "out"
+        assert main(["heap", "--input", str(good), "--output-dir", str(out),
+                     "--heap-points", "5"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(["heap", "--input", str(short), "--output-dir", str(out)]) == 3
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("garbage", [False, True])
     def test_rank_and_heap_read_sequences_alike(self, tmp_path, capsys, garbage):
         lines = [["Asia (1)", "asia (1)", "Europe (1)", "Europe (2)"][i % 4]
@@ -266,6 +280,24 @@ class TestCrawlCommand:
         pubs = (out / "crawl_publications.txt").read_text().splitlines()
         assert pubs == ["p1", "p2", "p3"]
 
+    def test_ids_round_trip_through_csv(self, tmp_path):
+        """An id holding a comma or a quote is quoted; a plain id is not."""
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus([
+            coauthored("p1", ["A", "Smith, J"], 2020),
+            coauthored("p2", ["Smith, J", 'O"Brien'], 2014),
+            coauthored("p3", ['O"Brien'], 2013),
+        ], corpus)
+        out = tmp_path / "out"
+        assert main(["crawl", "--input", str(corpus), "--seed-author", "A",
+                     "--output-dir", str(out), "--min-pubs", "1", "--min-year", "2015"]) == 0
+        with open(out / "crawl_distances.csv", newline="") as handle:
+            assert list(csv.reader(handle)) == [
+                ["author_id", "distance"], ["A", "0"], ["Smith, J", "1"], ['O"Brien', "2"]]
+        with open(out / "crawl_pruned.csv", newline="") as handle:
+            assert list(csv.reader(handle)) == [["author_id", "reason"], ['O"Brien', "stale"]]
+        assert (out / "crawl_distances.csv").read_text().splitlines()[1] == "A,0"
+
     def test_unknown_seed_exits_1(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         write_corpus([coauthored("p1", ["A"])], corpus)
@@ -305,6 +337,24 @@ class TestPlotdataCommand:
                      "--output-dir", str(out)]) == 0
         assert (out / "heap_points.tsv").exists() and (out / "heap_fit.tsv").exists()
 
+    def test_failed_heap_fit_keeps_previous_files(self, tmp_path):
+        """A run whose heap fit exits 3 writes no plot file, not even its
+        rank plot: all four files of the last good run keep their bytes."""
+        header = "n,v,repeats,v_mean,v_sd"
+        runs = {"good": (40, ["10,2,1,2.0,0.0", "20,3,1,3.0,0.0", "40,3,1,3.0,0.0"]),
+                "short": (50, ["10,1,1,1.0,0.0", "20,2,1,2.0,0.0"])}
+        out, files = tmp_path / "plot", {}
+        for name, (top, points) in runs.items():
+            source = tmp_path / f"{name}.txt"
+            write_lines(source, ["Asia (1)"] * top + ["Europe (1)"] * 20 + ["Europe (2)"] * 10)
+            main(["rank", "--input", str(source), "--output-dir", str(tmp_path / name)])
+            write_lines(tmp_path / name / "heap.csv", [header, *points])
+            assert main(["plotdata", "--rank-file", str(tmp_path / name / "rank.csv"),
+                         "--heap-file", str(tmp_path / name / "heap.csv"),
+                         "--output-dir", str(out)]) == (0 if name == "good" else 3)
+            files[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(files["good"]) == 4 and files["short"] == files["good"]
+
     def test_no_inputs_exits_1(self, tmp_path):
         assert main(["plotdata", "--output-dir", str(tmp_path)]) == 1
 
@@ -330,7 +380,7 @@ class TestEndToEnd:
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported by the fits that need it, not by every command."""
+    """The package needs numpy alone: importing the CLI loads no scipy module."""
     code = ("import sys, contseq.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(contseq.__file__).parents[1]))
@@ -339,9 +389,9 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_ols_fits_load_no_scipy_stats(tmp_path):
-    """The OLS fits of fit-zipf, heap and plotdata are numpy only; the MLE
-    fit still imports scipy.optimize."""
+def test_fits_load_no_scipy(tmp_path):
+    """Every fit is numpy only: fit-zipf (OLS and MLE), heap and plotdata
+    import neither scipy.stats nor scipy.optimize."""
     sequences = tmp_path / "sequences.txt"
     write_lines(sequences, fixture_sequences())
     out = str(tmp_path)
@@ -362,5 +412,4 @@ def test_ols_fits_load_no_scipy_stats(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
     loaded = [json.loads(line) for line in result.stderr.splitlines()]
-    assert loaded[:3] == [[0, False, False]] * 3
-    assert loaded[3] == [0, False, True]
+    assert loaded == [[0, False, False]] * 4

@@ -2,6 +2,7 @@
 one-line errors, count-flag validation, and corpus lines that are not
 valid UTF-8."""
 
+import codecs
 import io
 import json
 import os
@@ -232,6 +233,53 @@ def test_crawl_warns_of_malformed_lines(tmp_path, capsys):
     warnings = capsys.readouterr().err.splitlines()
     assert len(warnings) == 2 and "skipped 2" in warnings[0], warnings
     assert warnings[1] == "warning: skipped 1 malformed lines"
+
+
+def test_non_integer_schema_version_is_malformed(tmp_path, capsys):
+    """``map`` counts a ``schema_version`` of true or 1.0 malformed; ``crawl``
+    skips it."""
+    record = json.loads(GOOD_RECORD)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(GOOD_RECORD + b"".join(
+        json.dumps({**record, "id": pub_id, "schema_version": version}).encode() + b"\n"
+        for pub_id, version in (("p2", True), ("p3", 1.0))))
+    assert main([*MAP, str(corpus), "--output-dir", str(tmp_path / "map")]) == 0
+    report = json.loads((tmp_path / "map" / "ingest_report.json").read_text())
+    assert (report["accepted"], report["rejected_malformed"]) == (1, 2)
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: line 2: unsupported schema_version True",
+        "warning: line 3: unsupported schema_version 1.0"]
+    assert main([*CRAWL, str(corpus), "--output-dir", str(tmp_path / "crawl")]) == 0
+    assert capsys.readouterr().err.splitlines() == ["warning: skipped 2 malformed lines"]
+    assert (tmp_path / "crawl" / "crawl_publications.txt").read_text() == "p1\n"
+
+
+#: A corpus of one record in Poland and one in PL, an alias-file spelling.
+POLAND_AND_PL = GOOD_RECORD + record_to_json(
+    coauthored("p2", ["A", "B"], country="PL")).encode() + b"\n"
+
+
+@pytest.mark.parametrize("command, contents", [
+    (CONTINENTS, b"territory,continent\nPoland,Europe\nPL,Europe\n"),
+    (ALIASES, b"alias,canonical_label\nPL,Poland\n"),
+    (RANK, b"Asia (1)\nEurope (1)\nAsia (1)\n"),
+    (HEAP, b"Asia (1)\nEurope (1)\nEurope (2)\n" * 40),
+], ids=["continents", "aliases", "rank", "heap"])
+def test_leading_byte_order_mark_is_dropped(command, contents, tmp_path, capsys):
+    """A table or sequences file that starts with a UTF-8 BOM reads as the
+    same file without it."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(POLAND_AND_PL)
+    runs = []
+    for name, data in (("plain", contents), ("bom", codecs.BOM_UTF8 + contents)):
+        target = tmp_path / f"{name}.input"
+        target.write_bytes(data)
+        out = tmp_path / name
+        argv = [a.format(corpus=corpus) for a in command]
+        assert main([*argv, str(target), "--output-dir", str(out)]) == 0
+        runs.append(({path.name: path.read_bytes() for path in out.iterdir()},
+                     capsys.readouterr()))
+    assert runs[0] == runs[1]
 
 
 def _run_cli(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:

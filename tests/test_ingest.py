@@ -31,6 +31,10 @@ MALFORMED = {
         "unsupported schema_version None",
     json.dumps({"schema_version": 99, "id": "p", "year": 2020, "authors": []}):
         "unsupported schema_version 99",
+    line(schema_version=True): "unsupported schema_version True",
+    line(schema_version=1.0): "unsupported schema_version 1.0",
+    # a byte-order mark is not stripped from corpus lines
+    "\ufeff" + line(): "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)",
     line(year="2020"): "'year' must be an integer",
     line(year=True): "'year' must be an integer",
     json.dumps({"schema_version": 1, "id": "", "year": 2020, "authors": [{}]}):

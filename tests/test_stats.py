@@ -20,6 +20,35 @@ def seq(text):
     return parse_sequence(text)
 
 
+def sampled_table(spec):
+    """The rank table of the generator's type sample for ``spec``."""
+    counts = np.bincount(sample_type_indices(spec), minlength=spec.vocabulary_size)
+    vocabulary = sequence_vocabulary(spec.vocabulary_size)
+    return RankTable.from_counts(
+        {vocabulary[k]: int(c) for k, c in enumerate(counts) if c > 0})
+
+
+def mle_reference(spec):
+    """The MLE fit of ``sampled_table(spec)``, the number of observations it
+    used, and, in ``math.fsum`` arithmetic over its ranks, the negative
+    log-likelihood's slope and Var[log R] under the law with exponent a."""
+    table = sampled_table(spec)
+    selected = [e for e in table.entries if e.count >= 10]
+    logs = [math.log(e.rank) for e in selected]
+    n = sum(e.count for e in selected)
+    data_mean = math.fsum(e.count * log for e, log in zip(selected, logs)) / n
+
+    def law_moments(a):
+        weights = [e.rank ** -a for e in selected]
+        total = math.fsum(weights)
+        p = [w / total for w in weights]
+        mean = math.fsum(q * log for q, log in zip(p, logs))
+        return mean, math.fsum(q * (log - mean) ** 2 for q, log in zip(p, logs))
+
+    return (fit_zipf(table, method="mle"), n,
+            lambda a: data_mean - law_moments(a)[0], lambda a: law_moments(a)[1])
+
+
 def table_from_ranked_counts(counts_by_rank, vocabulary=None):
     """Rank R gets counts_by_rank[R-1]; sequences come from the deterministic
     vocabulary so entries are valid and distinct."""
@@ -106,16 +135,24 @@ class TestZipfFit:
             fit_zipf(table_from_ranked_counts(counts), method="magic")
 
     def test_mle_on_sampled_corpus(self):
-        spec = SyntheticSpec(vocabulary_size=1000, exponent=1.9,
-                             corpus_size=200_000, seed=5)
-        counts = np.bincount(sample_type_indices(spec), minlength=1000)
-        vocabulary = sequence_vocabulary(1000)
-        table = RankTable.from_counts(
-            {vocabulary[k]: int(c) for k, c in enumerate(counts) if c > 0})
+        table = sampled_table(SyntheticSpec(vocabulary_size=1000, exponent=1.9,
+                                            corpus_size=200_000, seed=5))
         fit = fit_zipf(table, method="mle")
         assert fit.method == "mle"
         assert abs(fit.exponent - 1.9) < 0.1
         assert 0 < fit.uncertainty < 0.05
+
+    def test_mle_is_the_root_of_the_likelihood_slope(self):
+        """The negative log-likelihood's slope, the data's mean of log R
+        minus the fitted law's, changes sign at the MLE exponent."""
+        fit, _, slope, _ = mle_reference(SyntheticSpec(200, 1.9, 100_000, seed=7))
+        assert slope(fit.exponent - 1e-9) < 0 < slope(fit.exponent + 1e-9)
+
+    def test_mle_uncertainty_is_the_fisher_information(self):
+        """The uncertainty is 1/sqrt(n * Var[log R]) under the fitted law."""
+        fit, n, _, variance = mle_reference(SyntheticSpec(200, 1.9, 100_000, seed=7))
+        assert fit.uncertainty == pytest.approx(1 / math.sqrt(n * variance(fit.exponent)),
+                                                rel=1e-10, abs=0)
 
     def test_sensitivity_sweeps_ranges(self):
         counts = [round(1e12 * r ** -1.9) for r in range(1, 201)]
