@@ -26,10 +26,11 @@ import csv
 import json
 import os
 import sys
-from collections import Counter
-from contextlib import contextmanager
+from collections import defaultdict
+from functools import partial
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -59,10 +60,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    """argparse type of the count flags: an integer >= 1."""
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _count(text: str, low: int = 1) -> int:
+    """argparse type of the count flags: an integer >= 1, or >= ``low``
+    (``--seed`` takes ``low=0``)."""
+    if not (text.isdecimal() and int(text) >= low):
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return int(text)
 
 
@@ -100,38 +102,31 @@ def _write_csv(path: Path, rows: Iterable[tuple]) -> None:
         csv.writer(sink, lineterminator="\n").writerows(rows)
 
 
-class _SequenceCodes(dict):
-    """Stripped line text of a sequences file -> code of its parsed
-    sequence. A new text is parsed on its first lookup; ``sequences`` maps
-    each distinct sequence to its code, in first-seen order."""
+def _read_sequences(path: str) -> tuple[np.ndarray, list[ContinentSequence]]:
+    """The ``int32`` sequence code of each non-blank line of a sequences
+    file, and the distinct sequences by code, in first-seen order.
 
-    def __init__(self, path: str):
-        super().__init__()
-        self.path, self.sequences = path, {}
-
-    def __missing__(self, text: str) -> int:
+    The file is read once, as bytes split at ``\\n``. Each distinct
+    stripped line is then decoded and parsed once, in the order of its first
+    row, so the first row that is not UTF-8 (ValueError) or does not parse
+    (SequenceFormatError) is the one named. Texts that differ only in case
+    or spacing parse to one sequence and share its code."""
+    numbers = defaultdict(count().__next__)  # stripped line -> its number, in first-seen order
+    with opened(path, binary=True) as lines:
+        rows = np.fromiter(map(numbers.__getitem__, map(bytes.strip, lines)), dtype=np.int32)
+    codes = np.full(len(numbers), -1, dtype=np.int32)  # -1: a blank line
+    sequences: dict[ContinentSequence, int] = {}
+    for number, line in enumerate(numbers):
         try:
-            sequence = parse_sequence(text)
-        except SequenceFormatError as exc:  # a new text, so its first row is being read
-            with opened(self.path) as lines:
-                row = next(row for row, line in enumerate(lines, 1) if line.strip() == text)
-            raise SequenceFormatError(at_row(self.path, row, exc)) from None
-        code = self[text] = self.sequences.setdefault(sequence, len(self.sequences))
-        return code
-
-
-@contextmanager
-def _read_sequences(path: str) -> Iterator[tuple[Iterator[int], dict[ContinentSequence, int]]]:
-    """The sequence code of each non-blank line of a sequences file, as the
-    lines are read, and a dict from each distinct sequence to its code,
-    filled as they are read.
-
-    Texts that differ only in case or spacing parse to one sequence and
-    share its code. A line that does not parse raises SequenceFormatError
-    naming its row."""
-    codes = _SequenceCodes(path)
-    with opened(path) as source:
-        yield map(codes.__getitem__, filter(None, map(str.strip, source))), codes.sequences
+            if text := line.decode("utf-8-sig" if number == 0 else "utf-8").strip():
+                codes[number] = sequences.setdefault(parse_sequence(text), len(sequences))
+        except (UnicodeDecodeError, SequenceFormatError) as exc:
+            row = int(np.argmax(rows == number)) + 1  # the line's first row
+            if isinstance(exc, SequenceFormatError):
+                raise SequenceFormatError(at_row(path, row, exc)) from None
+            raise ValueError(at_row(path, row, "invalid UTF-8")) from None
+    rows = codes[rows]  # each line's sequence code
+    return (rows[rows >= 0] if (codes < 0).any() else rows), list(sequences)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +171,8 @@ def cmd_map(args) -> int:
 def cmd_rank(args) -> int:
     """Aggregate a sequences file into the rank,sequence,count,percent table."""
     out = _out_dir(args)
-    with _read_sequences(args.input) as (codes, sequences):
-        counts = Counter(codes)
-    table = RankTable.from_counts({sequence: counts[code] for sequence, code in sequences.items()})
+    codes, sequences = _read_sequences(args.input)
+    table = RankTable.from_counts(dict(zip(sequences, np.bincount(codes).tolist())))
     write_rank_file(table, out / "rank.csv")
     top = table.entries[0]
     print(f"{len(table)} distinct sequences over {table.total_count} records; "
@@ -215,8 +209,7 @@ def cmd_fit_zipf(args) -> int:
 def cmd_heap(args) -> int:
     """Sample the vocabulary-growth curve of a sequences file and fit it."""
     out = _out_dir(args)
-    with _read_sequences(args.input) as (codes, _):
-        corpus = np.fromiter(codes, dtype=np.int32)
+    corpus, _ = _read_sequences(args.input)
     if not corpus.size:
         raise EmptyInputError("no sequences in input")
     print(f"seed {args.seed}")
@@ -349,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
                 "sequences file, one per line")
     p.add_argument("--heap-points", type=_count, default=20, help="log-spaced sample sizes")
     p.add_argument("--heap-repeats", type=_count, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=partial(_count, low=0), default=0)
 
     p = command("gen", cmd_gen, "generate a synthetic corpus with a known Zipfian "
                 "distribution")
     p.add_argument("--vocab", type=_count, default=1000, help="distinct sequence types")
     p.add_argument("--exponent", type=float, default=1.9)
     p.add_argument("--size", type=int, default=10000, help="number of records")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=partial(_count, low=0), default=0)
 
     p = command("crawl", cmd_crawl, "breadth-first co-authorship crawl over a corpus file",
                 "corpus file (JSON lines)")

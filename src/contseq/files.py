@@ -28,34 +28,39 @@ T = TypeVar("T")
 _RANGE_BYTES = 1 << 22  # file bytes per range, and per chunk of lines read in process
 
 
+def named(source: Source, message) -> str:
+    """``<path>: <message>``, without the path when ``source`` is no file."""
+    return f"{source}: {message}" if isinstance(source, (str, Path)) else str(message)
+
+
 def at_row(source: Source, row: int, message) -> str:
-    """``message`` located at a 1-based row of ``source``:
-    ``<path>: row N: <message>``, without the path when the source is no file."""
-    where = f"{source}: " if isinstance(source, (str, Path)) else ""
-    return f"{where}row {row}: {message}"
+    """``message`` located at a 1-based row of ``source``: ``<path>: row N: <message>``."""
+    return named(source, f"row {row}: {message}")
 
 
 @contextmanager
 def opened(source: Source, binary: bool = False) -> Iterator[Iterable]:
     """``source`` itself, or the file it names: UTF-8 text with its line
     endings kept and a leading byte-order mark dropped, or bytes when
-    ``binary``. A file's UnicodeDecodeError becomes a ValueError naming the
-    file and its first row that does not decode."""
+    ``binary``. Text is decoded one line at a time as it is read, so a line
+    that does not decode raises a ValueError naming the file and its row."""
     if not isinstance(source, (str, Path)):
         yield source
         return
-    with (open(source, "rb") if binary
-          else open(source, encoding="utf-8-sig", newline="")) as handle:
+    with open(source, "rb") as handle:
+        yield handle if binary else _decoded(source, handle)
+
+
+def _decoded(source: Source, handle: IO[bytes]) -> Iterator[str]:
+    """The text lines of ``handle``'s byte lines. Each byte line is split
+    again at a lone ``\\r``, as text mode does, so a table whose rows end in
+    ``\\r`` alone still reads row by row."""
+    for row, line in enumerate(handle, 1):
         try:
-            yield handle
+            text = line.decode("utf-8-sig" if row == 1 else "utf-8")
         except UnicodeDecodeError:
-            with open(source, "rb") as raw:
-                for row, line in enumerate(raw, 1):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError:
-                        raise ValueError(at_row(source, row, "invalid UTF-8")) from None
-            raise
+            raise ValueError(at_row(source, row, "invalid UTF-8")) from None
+        yield from io.StringIO(text, newline="")
 
 
 def read_csv(source: Source, header: str, error: type[Exception] = ValueError,
@@ -64,26 +69,31 @@ def read_csv(source: Source, header: str, error: type[Exception] = ValueError,
 
     The first row must match ``header`` (comma-separated column names,
     compared trimmed and case-insensitively); blank rows are skipped, and
-    every other row must have one cell per column. A violation raises
-    ``error`` with an :func:`at_row` message; a source with no rows at all
-    raises ``empty`` (default: ``error``). Callers report their own errors
-    in a row's cells through :func:`at_row` too.
+    every other row must have one cell per column. A violation, or a row
+    that csv cannot read, raises ``error`` with an :func:`at_row` message; a
+    source with no rows at all raises ``empty`` (default: ``error``).
+    Callers report their own errors in a row's cells through :func:`at_row`
+    too.
     """
     names = header.split(",")
     with opened(source) as lines:
         rows = csv.reader(lines)
-        first = next(rows, None)
-        if first is None:
-            raise (empty or error)(at_row(source, 1, f"empty file, expected header {header!r}"))
-        if [cell.strip().casefold() for cell in first] != names:
-            raise error(at_row(source, 1, f"expected header {header!r}"))
-        for number, row in enumerate(rows, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(names):
-                raise error(at_row(source, number,
-                                   f"expected {len(names)} columns, got {len(row)}"))
-            yield number, row
+        try:
+            first = next(rows, None)
+            if first is None:
+                raise (empty or error)(at_row(source, 1,
+                                              f"empty file, expected header {header!r}"))
+            if [cell.strip().casefold() for cell in first] != names:
+                raise error(at_row(source, 1, f"expected header {header!r}"))
+            for number, row in enumerate(rows, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(names):
+                    raise error(at_row(source, number,
+                                       f"expected {len(names)} columns, got {len(row)}"))
+                yield number, row
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise error(at_row(source, rows.line_num, exc)) from None
 
 
 def _spans(handle) -> list[tuple[int, int]]:

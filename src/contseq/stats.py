@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, SequenceFormatError
-from .files import Sink, Source, at_row, read_csv, writing
+from .files import Sink, Source, at_row, named, read_csv, writing
 from .mapping import parse_sequence, render_sequence
 from .model import ContinentSequence
 
@@ -260,6 +260,10 @@ class HeapPoint:
             raise ValueError("n and repeats must be >= 1")
         if not 1 <= self.v <= self.n:
             raise ValueError("v must be in [1, n]")
+        if not 1 <= self.v_mean <= self.n:
+            raise ValueError("v_mean must be in [1, n]")
+        if not 0 <= self.v_sd < math.inf:
+            raise ValueError("v_sd must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -360,15 +364,21 @@ def read_rank_file(source: Source) -> RankTable:
     for row, (rank, text, count, _) in read_csv(source, RANK_FILE_HEADER,
                                                  empty=EmptyInputError):
         try:
-            parsed.append((int(rank), parse_sequence(text), int(count)))
+            rank, sequence, count = int(rank), parse_sequence(text), int(count)
+            if count < 1:
+                raise ValueError(f"count must be >= 1, got {count}")
         except (ValueError, SequenceFormatError) as exc:
             raise type(exc)(at_row(source, row, exc)) from None
+        parsed.append((rank, sequence, count))
     if not parsed:
         raise EmptyInputError("rank file has no entries")
     total = sum(count for _, _, count in parsed)
     entries = tuple(RankEntry(rank, sequence, count, count / total)
                     for rank, sequence, count in parsed)
-    return RankTable(entries, total)
+    try:
+        return RankTable(entries, total)
+    except ValueError as exc:
+        raise ValueError(named(source, exc)) from None
 
 
 def write_heap_file(curve: HeapCurve, sink: Sink) -> None:

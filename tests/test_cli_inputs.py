@@ -1,6 +1,6 @@
 """Every input file the CLI reads, good and bad: documented exit codes and
-one-line errors, count-flag validation, and corpus lines that are not
-valid UTF-8."""
+one-line errors, count-flag validation, corpus lines that are not valid
+UTF-8, and inputs read from named pipes."""
 
 import codecs
 import io
@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -29,6 +30,8 @@ LONE_SURROGATE = json.dumps({"schema_version": 1, "id": "p\ud800", "year": 2020,
     for author in ("A", "b\udfff")]}).encode() + b"\n"
 RANK_HEADER = b"rank,sequence,count,percent\n"
 HEAP_HEADER = b"n,v,repeats,v_mean,v_sd\n"
+#: A cell over the csv module's default field size limit of 131,072 characters.
+HUGE_FIELD = b"A" * 200_000
 
 MAP = ["map", "--threads", "1", "--input"]
 CRAWL = ["crawl", "--seed-author", "A", "--min-pubs", "1", "--input"]
@@ -61,6 +64,8 @@ CASES = {
     "sequences-bad-count-heap": (HEAP, b"Asia (1)\nAsia (x)\n", 1),
     "sequences-invalid-utf8-rank": (RANK, b"Asia (1)\n\xff\n", 1),
     "sequences-invalid-utf8-heap": (HEAP, b"Asia (1)\n\xff\n", 1),
+    "sequences-unparsable-lone-cr-rank": (RANK, b"Asia (1)\rEurope (1)\n", 1),
+    "sequences-unparsable-lone-cr-heap": (HEAP, b"Asia (1)\rEurope (1)\n", 1),
     "rank-missing-fit": (FIT, MISSING, 1),
     "rank-missing-plot": (PLOT_RANK, MISSING, 1),
     "rank-empty-fit": (FIT, b"", 2),
@@ -76,6 +81,9 @@ CASES = {
     "rank-unparsable-sequence-fit": (FIT, RANK_HEADER + b'1,"Asia (x)",5,100.00\n', 1),
     "rank-invalid-utf8-fit": (FIT, RANK_HEADER + b'1,"Asia (1)",5,\xff\n', 1),
     "rank-invalid-utf8-plot": (PLOT_RANK, RANK_HEADER + b'1,"Asia (1)",5,\xff\n', 1),
+    "rank-impossible-count-fit": (FIT, RANK_HEADER + b'1,"Asia (1)",0,50.00\n', 1),
+    "rank-impossible-count-plot": (PLOT_RANK, RANK_HEADER + b'1,"Asia (1)",0,50.00\n', 1),
+    "rank-huge-field-fit": (FIT, RANK_HEADER + b'1,"' + HUGE_FIELD + b'",5,100.00\n', 1),
     "heap-missing-plot": (PLOT_HEAP, MISSING, 1),
     "heap-empty-plot": (PLOT_HEAP, b"", 2),
     "heap-header-only-plot": (PLOT_HEAP, HEAP_HEADER, 2),
@@ -85,12 +93,17 @@ CASES = {
     "heap-invalid-utf8-plot": (PLOT_HEAP, HEAP_HEADER + b"10,5,1,5.0,\xff\n", 1),
     "heap-non-numeric-n-plot": (PLOT_HEAP, HEAP_HEADER + b"x,5,1,5.0,0.0\n", 1),
     "heap-impossible-point-plot": (PLOT_HEAP, HEAP_HEADER + b"10,50,1,5.0,0.0\n", 1),
+    "heap-impossible-mean-nan-plot": (PLOT_HEAP, HEAP_HEADER + b"10,5,1,nan,0.0\n", 1),
+    "heap-impossible-mean-negative-plot": (PLOT_HEAP, HEAP_HEADER + b"10,5,1,-3,0.0\n", 1),
+    "heap-impossible-sd-plot": (PLOT_HEAP, HEAP_HEADER + b"10,5,1,5.0,inf\n", 1),
     "continents-missing": (CONTINENTS, MISSING, 1),
     "continents-empty": (CONTINENTS, b"", 1),
     "continents-wrong-header": (CONTINENTS, b"country,continent\n", 1),
     "continents-short-row": (CONTINENTS, b"territory,continent\nPoland\n", 1),
     "continents-unknown-continent": (CONTINENTS, b"territory,continent\nPoland,Atlantis\n", 1),
     "continents-invalid-utf8": (CONTINENTS, b"territory,continent\nPoland,Europe\xff\n", 1),
+    "continents-huge-field": (CONTINENTS,
+                              b"territory,continent\n" + HUGE_FIELD + b",Europe\n", 1),
     "continents-duplicate-territory": (CONTINENTS,
                                        b"territory,continent\nPoland,Europe\n poland ,Europe\n", 1),
     "continents-empty-label": (CONTINENTS, b"territory,continent\nPoland,Europe\n ,Asia\n", 1),
@@ -133,7 +146,7 @@ def test_input_file_exit_code(name, tmp_path, capsys):
                                          "non-numeric", "unparsable-", "impossible-",
                                          "unknown-continent", "duplicate-", "empty-label",
                                          "empty-alias", "bad-count", "unknown-target",
-                                         "shadows-")):
+                                         "shadows-", "huge-field")):
             assert errors[0].startswith(f"error: {target}: row "), err
             assert errors[0].endswith(": invalid UTF-8") == ("invalid-utf8" in name), err
 
@@ -152,6 +165,60 @@ def test_count_flags_reject_non_positive(argv, value, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("contseq") and f"argument {argv[-1]}: " in err[-1]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["gen"], ["heap", "--input", "{sequences}"]])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_bad_seed_is_a_usage_error(command, value, tmp_path, capsys):
+    """``--seed`` must be an integer >= 0; anything else fails before any file
+    is read or written."""
+    sequences = tmp_path / "sequences.txt"
+    sequences.write_bytes(b"Asia (1)\nEurope (1)\n" * 100)
+    out = tmp_path / "out"
+    argv = [a.format(sequences=sequences) for a in command]
+    assert main([*argv, "--seed", value, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (f"contseq {command[0]}: error: argument --seed: "
+                       f"expected an integer >= 0, got {value!r}"), err
+    assert not out.exists()
+
+
+def test_rank_table_errors_name_the_file(tmp_path, capsys):
+    target = tmp_path / "rank.csv"
+    target.write_bytes(RANK_HEADER + b'1,"Asia (1)",5,50.00\n3,"Europe (1)",5,50.00\n')
+    for command in (FIT, PLOT_RANK):
+        assert main([*command, str(target), "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {target}: ranks must be dense; expected 2, got 3\n")
+
+
+@pytest.mark.parametrize("command", [RANK, HEAP])
+def test_first_bad_row_in_file_order_is_named(command, tmp_path, capsys):
+    """A line that does not parse, before one that is not UTF-8: the first
+    is reported."""
+    target = tmp_path / "sequences.txt"
+    target.write_bytes(b"Asia (1)\n\nAsia (x)\n\xff\n")
+    assert main([*command, str(target), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {target}: row 3: cannot parse sequence part 'Asia (x)'\n")
+
+
+def test_cr_only_alias_table_loads(tmp_path, capsys):
+    """A table whose rows end in a lone CR (as old Mac spreadsheets save them)
+    reads as the same table with LF endings."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(POLAND_AND_PL)
+    runs = []
+    for name, ending in (("lf", b"\n"), ("cr", b"\r")):
+        aliases = tmp_path / f"{name}.csv"
+        aliases.write_bytes(b"alias,canonical_label" + ending + b"PL,Poland" + ending)
+        out = tmp_path / name
+        assert main([*MAP, str(corpus), "--aliases", str(aliases),
+                     "--output-dir", str(out)]) == 0
+        runs.append(({path.name: path.read_bytes() for path in out.iterdir()},
+                     capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert (tmp_path / "cr" / "sequences.txt").read_bytes() == b"Europe (1)\n" * 2
 
 
 @pytest.fixture
@@ -338,3 +405,40 @@ def test_map_partitions_arbitrary_bytes(lines):
         assert len(list(parse_corpus(corpus))) == non_blank
     assert report["total"] == non_blank
     assert code == (0 if report["accepted"] else 2)
+
+
+#: (command up to the file argument, what the named pipe holds, the error
+#: after ``error: <pipe>: ``); each bad row follows a blank line or a header.
+FIFO_CASES = {
+    "rank-unparsable": (RANK, b"Asia (1)\n\nnot a sequence\n",
+                        "row 3: cannot parse sequence part 'not a sequence'"),
+    "rank-invalid-utf8": (RANK, b"Asia (1)\n\n\xff\n", "row 3: invalid UTF-8"),
+    "heap-unparsable": (HEAP, b"Asia (1)\n\nnot a sequence\n",
+                        "row 3: cannot parse sequence part 'not a sequence'"),
+    "heap-invalid-utf8": (HEAP, b"Asia (1)\n\n\xff\n", "row 3: invalid UTF-8"),
+    "fit-invalid-utf8": (FIT, RANK_HEADER + b'1,"Asia (1)",5,\xff\n', "row 2: invalid UTF-8"),
+    "continents-invalid-utf8": (CONTINENTS, b"territory,continent\nPoland,Europe\xff\n",
+                                "row 2: invalid UTF-8"),
+    "aliases-invalid-utf8": (ALIASES, b"alias,canonical_label\nUK,United Kingdom\xff\n",
+                             "row 2: invalid UTF-8"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("name", sorted(FIFO_CASES))
+def test_bad_row_read_from_a_fifo(name, tmp_path):
+    """A bad row in an input read from a named pipe is found in the one pass
+    that reads it: the command exits 1 naming the row, and does not wait for
+    a second read of a pipe that is empty by then."""
+    command, contents, message = FIFO_CASES[name]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(GOOD_RECORD)
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(contents,), daemon=True)
+    writer.start()
+    argv = [a.format(corpus=corpus) for a in command]
+    result = _run_cli([*argv, str(fifo), "--output-dir", str(tmp_path / "out")], timeout=30)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (result.returncode, result.stderr) == (1, f"error: {fifo}: {message}\n")

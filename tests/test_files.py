@@ -21,6 +21,20 @@ class TestOpened:
         with opened(path) as lines:
             assert list(lines) == ["a\r\n", "b\n"]
 
+    def test_path_text_splits_at_a_lone_cr(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\rb\r\nc\n")
+        with opened(path) as lines:
+            assert list(lines) == ["a\r", "b\r\n", "c\n"]
+
+    def test_path_text_names_the_row_that_does_not_decode(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\nb\n\xff\nc\n")
+        with opened(path) as lines:
+            assert next(lines) == "a\n"
+            with pytest.raises(ValueError, match=r"f\.txt: row 3: invalid UTF-8$"):
+                list(lines)
+
     def test_path_binary(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_bytes(b"a\xff\nb\n")
@@ -55,6 +69,10 @@ class TestReadCsv:
             list(read_csv([], "a,b"))
         with pytest.raises(LookupError, match="row 1"):
             list(read_csv([], "a,b", empty=LookupError))
+
+    def test_unreadable_row_carries_row_number(self):
+        with pytest.raises(TableFormatError, match=r"^row 3: field larger than field limit"):
+            list(read_csv(["a,b\n", "1,2\n", "x" * 200_000 + ",3\n"], "a,b", TableFormatError))
 
     def test_quoted_cells(self, tmp_path):
         path = tmp_path / "t.csv"
