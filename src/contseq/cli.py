@@ -135,11 +135,11 @@ def _read_sequences(path: str) -> tuple[np.ndarray, list[ContinentSequence]]:
 def cmd_map(args) -> int:
     """Parse a corpus file, apply the exclusion rules, and write one
     canonical sequence per accepted record plus a report."""
-    out = _out_dir(args)
     # Built here, not in the workers: a pool whose workers fail to start
     # respawns them forever.
     mapper = SequenceMapper(ExclusionPolicy(args.max_affils),
                             _load_table(args.continents, args.aliases))
+    out = _out_dir(args)
     report = IngestReport()
     warned = lines_before = 0
     with writing(out / "sequences.txt") as sink:
@@ -230,9 +230,9 @@ def cmd_heap(args) -> int:
 
 def cmd_gen(args) -> int:
     """Write a synthetic corpus with a known Zipfian type distribution."""
-    out = _out_dir(args)
     spec = SyntheticSpec(vocabulary_size=args.vocab, exponent=args.exponent,
                          corpus_size=args.size, seed=args.seed)
+    out = _out_dir(args)
     print(f"seed {args.seed}")
     with writing(out / "corpus.jsonl") as sink:
         sink.writelines(corpus_lines(spec))
@@ -245,6 +245,10 @@ def cmd_gen(args) -> int:
 
 def cmd_crawl(args) -> int:
     """Crawl the co-authorship graph of a corpus file from a seed author."""
+    policy = CrawlPolicy(max_distance=args.max_distance,
+                         min_total_publications=args.min_pubs,
+                         min_last_publication_year=args.min_year,
+                         collect_pruned_publications=not args.drop_pruned_pubs)
     out = _out_dir(args)
     store = CorpusStore.from_file(args.input)
     # any PublicationStore may stand in for the CorpusStore (bench/layers.py wraps it)
@@ -253,10 +257,6 @@ def cmd_crawl(args) -> int:
               f"skipped {skipped}", file=sys.stderr)
     if malformed := getattr(store, "malformed_skipped", 0):
         print(f"warning: skipped {malformed} malformed lines", file=sys.stderr)
-    policy = CrawlPolicy(max_distance=args.max_distance,
-                         min_total_publications=args.min_pubs,
-                         min_last_publication_year=args.min_year,
-                         collect_pruned_publications=not args.drop_pruned_pubs)
     result = crawl(store, args.seed_author, policy)
     by_distance = sorted(result.distances.items(), key=lambda kv: (kv[1], kv[0]))
     _write_csv(out / "crawl_distances.csv", [("author_id", "distance"), *by_distance])

@@ -19,6 +19,8 @@ from multiprocessing import Pool
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TextIO, TypeVar, Union
 
+from .errors import ContseqError
+
 #: What every reader accepts: a path, an open stream, or raw lines.
 Source = Union[str, Path, IO[str], Iterable[str]]
 #: What every writer accepts: a path or an open text stream.
@@ -42,8 +44,8 @@ def at_row(source: Source, row: int, message) -> str:
 def opened(source: Source, binary: bool = False) -> Iterator[Iterable]:
     """``source`` itself, or the file it names: UTF-8 text with its line
     endings kept and a leading byte-order mark dropped, or bytes when
-    ``binary``. Text is decoded one line at a time as it is read, so a line
-    that does not decode raises a ValueError naming the file and its row."""
+    ``binary``. Text is decoded one row at a time as it is read, so a row
+    that does not decode raises a ValueError naming the file and the row."""
     if not isinstance(source, (str, Path)):
         yield source
         return
@@ -52,30 +54,31 @@ def opened(source: Source, binary: bool = False) -> Iterator[Iterable]:
 
 
 def _decoded(source: Source, handle: IO[bytes]) -> Iterator[str]:
-    """The text lines of ``handle``'s byte lines. Each byte line is split
-    again at a lone ``\\r``, as text mode does, so a table whose rows end in
-    ``\\r`` alone still reads row by row."""
-    for row, line in enumerate(handle, 1):
+    """The text rows of ``handle``. A row ends at ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``, as in text mode and for ``csv.reader``'s ``line_num``; each byte
+    line is split before it is decoded, as no UTF-8 character holds those bytes."""
+    rows = (row for line in handle for row in line.splitlines(keepends=True))
+    for number, row in enumerate(rows, 1):
         try:
-            text = line.decode("utf-8-sig" if row == 1 else "utf-8")
+            yield row.decode("utf-8-sig" if number == 1 else "utf-8")
         except UnicodeDecodeError:
-            raise ValueError(at_row(source, row, "invalid UTF-8")) from None
-        yield from io.StringIO(text, newline="")
+            raise ValueError(at_row(source, number, "invalid UTF-8")) from None
 
 
-def read_csv(source: Source, header: str, error: type[Exception] = ValueError,
-             empty: type[Exception] | None = None) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(row_number, cells)`` for the data rows of a CSV source.
+def read_csv(source: Source, header: str, parse: Callable[..., T],
+             error: type[Exception] = ValueError, empty: type[Exception] | None = None) -> list[T]:
+    """``parse(*cells)`` of each data row of a CSV source, in order.
 
     The first row must match ``header`` (comma-separated column names,
     compared trimmed and case-insensitively); blank rows are skipped, and
     every other row must have one cell per column. A violation, or a row
-    that csv cannot read, raises ``error`` with an :func:`at_row` message; a
-    source with no rows at all raises ``empty`` (default: ``error``).
-    Callers report their own errors in a row's cells through :func:`at_row`
-    too.
+    that csv cannot read, raises ``error``; a source with no rows at all
+    raises ``empty`` (default: ``error``); a ValueError or ContseqError from
+    ``parse`` is raised again as its own type. Each message is located by
+    :func:`at_row` at ``csv.reader``'s ``line_num``: a record's last row.
     """
     names = header.split(",")
+    parsed = []
     with opened(source) as lines:
         rows = csv.reader(lines)
         try:
@@ -84,16 +87,20 @@ def read_csv(source: Source, header: str, error: type[Exception] = ValueError,
                 raise (empty or error)(at_row(source, 1,
                                               f"empty file, expected header {header!r}"))
             if [cell.strip().casefold() for cell in first] != names:
-                raise error(at_row(source, 1, f"expected header {header!r}"))
-            for number, row in enumerate(rows, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
+                raise error(at_row(source, rows.line_num, f"expected header {header!r}"))
+            for cells in rows:
+                if not cells or (len(cells) == 1 and not cells[0].strip()):
                     continue
-                if len(row) != len(names):
-                    raise error(at_row(source, number,
-                                       f"expected {len(names)} columns, got {len(row)}"))
-                yield number, row
+                if len(cells) != len(names):
+                    raise error(at_row(source, rows.line_num,
+                                       f"expected {len(names)} columns, got {len(cells)}"))
+                try:
+                    parsed.append(parse(*cells))
+                except (ValueError, ContseqError) as exc:
+                    raise type(exc)(at_row(source, rows.line_num, exc)) from None
         except csv.Error as exc:  # e.g. a field over csv's size limit
             raise error(at_row(source, rows.line_num, exc)) from None
+    return parsed
 
 
 def _spans(handle) -> list[tuple[int, int]]:

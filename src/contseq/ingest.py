@@ -195,17 +195,16 @@ def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord
                 yield _record(fields, line_number)
 
 
-def store_fields(source: Source) -> Iterator[tuple[str, int, list[str]] | str]:
+def store_fields(lines: Iterable[bytes]) -> Iterator[tuple[str, int, list[str]] | str]:
     """Stream the ``(pub_id, year, author_ids)`` of each record that
-    :func:`parse_corpus` yields, or the message of its malformed line, in
-    input order, but build no record."""
-    with opened(source, binary=True) as lines:
-        for fields in map(_decode_line, lines):
-            if type(fields) is tuple:
-                pub_id, year, authors = fields
-                yield pub_id, year, [author["author_id"] for author in authors]
-            elif fields is not None:
-                yield fields
+    :func:`parse_corpus` would yield for ``lines``, or the message of its
+    malformed line, in input order, but build no record."""
+    for fields in map(_decode_line, lines):
+        if type(fields) is tuple:
+            pub_id, year, authors = fields
+            yield pub_id, year, [author["author_id"] for author in authors]
+        elif fields is not None:
+            yield fields
 
 
 def _labels_or_reject(affiliation_lists: Iterable, limit: int,

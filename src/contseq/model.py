@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Mapping
 
 from .errors import TableFormatError, TableValidationError
-from .files import Source, at_row, read_csv
+from .files import Source, read_csv
 
 _WS = re.compile(r"\s+")
 
@@ -228,17 +228,15 @@ def load_continent_table(source: Source) -> ContinentTable:
     duplicate territories.
     """
     table = ContinentTable({})
-    for row_no, row in read_csv(source, "territory,continent", TableFormatError):
-        label, continent_name = row[0].strip(), row[1].strip()
+    def add(label: str, continent_name: str) -> None:
+        label, continent_name = label.strip(), continent_name.strip()
         if not label:
-            raise TableFormatError(at_row(source, row_no, "empty territory label"))
+            raise TableFormatError("empty territory label")
         try:
             table._add_territory(label, Continent.from_name(continent_name))
         except ValueError:
-            raise TableValidationError(
-                at_row(source, row_no, f"unknown continent {continent_name!r}")) from None
-        except TableValidationError as exc:
-            raise TableValidationError(at_row(source, row_no, exc)) from None
+            raise TableValidationError(f"unknown continent {continent_name!r}") from None
+    read_csv(source, "territory,continent", add, TableFormatError)
     return table
 
 
@@ -248,14 +246,12 @@ def load_aliases(source: Source, table: ContinentTable) -> ContinentTable:
     territory label of ``table``, never another alias. A bad row raises
     :class:`TableFormatError` or :class:`TableValidationError` naming it."""
     aliased = ContinentTable(table.entries, table.aliases)
-    for row_no, row in read_csv(source, "alias,canonical_label", TableFormatError):
-        alias, target = row[0].strip(), row[1].strip()
+    def add(alias: str, target: str) -> None:
+        alias, target = alias.strip(), target.strip()
         if not alias or not target:
-            raise TableFormatError(at_row(source, row_no, "empty alias or target"))
-        try:
-            aliased._add_alias(alias, target)
-        except TableValidationError as exc:
-            raise TableValidationError(at_row(source, row_no, exc)) from None
+            raise TableFormatError("empty alias or target")
+        aliased._add_alias(alias, target)
+    read_csv(source, "alias,canonical_label", add, TableFormatError)
     return aliased
 
 

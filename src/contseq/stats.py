@@ -17,8 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, InsufficientDataError, SequenceFormatError
-from .files import Sink, Source, at_row, named, read_csv, writing
+from .errors import EmptyInputError, InsufficientDataError
+from .files import Sink, Source, named, read_csv, writing
 from .mapping import parse_sequence, render_sequence
 from .model import ContinentSequence
 
@@ -126,10 +126,8 @@ class FitResult:
 
 def _ols_loglog(x: np.ndarray, y: np.ndarray):
     """Slope, its standard error, intercept and r² of a least-squares line
-    through ``(log10 x, log10 y)``, for the three or more points passed."""
+    through ``(log10 x, log10 y)`` of three or more points, not all at one x."""
     x, y = np.log10(x), np.log10(y)
-    if x.max() == x.min():
-        raise ValueError("Cannot calculate a linear regression if all x values are identical")
     sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
     if sxx == 0.0 or syy == 0.0:
         r = np.float64(np.nan if sxy == 0 else 0.0)
@@ -325,10 +323,13 @@ def heap_curve(corpus: Sequence, sample_sizes: Sequence[int] | None = None,
 
 
 def fit_heap(curve: HeapCurve) -> FitResult:
-    """Fit V(N) as a power law of N; the exponent is the log-log slope."""
+    """Fit V(N) as a power law of N; the exponent is the log-log slope. Needs
+    three or more points, not all at one log N (else InsufficientDataError)."""
     if len(curve.points) < 3:
         raise InsufficientDataError(f"need >= 3 curve points, have {len(curve.points)}")
     sizes = np.array([p.n for p in curve.points], dtype=np.float64)
+    if (distinct := len(np.unique(np.log10(sizes)))) < 2:
+        raise InsufficientDataError(f"need >= 2 distinct sample sizes, have {distinct}")
     means = np.array([p.v_mean for p in curve.points], dtype=np.float64)
     slope, stderr, intercept, r_squared = _ols_loglog(sizes, means)
     return FitResult(slope, stderr, intercept,
@@ -353,6 +354,13 @@ def write_rank_file(table: RankTable, sink: Sink) -> None:
             handle.write(f'{entry.rank},"{text}",{entry.count},{100.0 * entry.frequency:.2f}\n')
 
 
+def _rank_row(rank: str, text: str, count: str, _: str) -> tuple[int, ContinentSequence, int]:
+    rank, sequence, count = int(rank), parse_sequence(text), int(count)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return rank, sequence, count
+
+
 def read_rank_file(source: Source) -> RankTable:
     """Read a rank file back into a validated :class:`RankTable`.
 
@@ -360,16 +368,7 @@ def read_rank_file(source: Source) -> RankTable:
     invariants (dense ranks, non-increasing counts, canonical tie order);
     the percent column is redundant and ignored in favor of the counts.
     """
-    parsed = []
-    for row, (rank, text, count, _) in read_csv(source, RANK_FILE_HEADER,
-                                                 empty=EmptyInputError):
-        try:
-            rank, sequence, count = int(rank), parse_sequence(text), int(count)
-            if count < 1:
-                raise ValueError(f"count must be >= 1, got {count}")
-        except (ValueError, SequenceFormatError) as exc:
-            raise type(exc)(at_row(source, row, exc)) from None
-        parsed.append((rank, sequence, count))
+    parsed = read_csv(source, RANK_FILE_HEADER, _rank_row, empty=EmptyInputError)
     if not parsed:
         raise EmptyInputError("rank file has no entries")
     total = sum(count for _, _, count in parsed)
@@ -388,14 +387,12 @@ def write_heap_file(curve: HeapCurve, sink: Sink) -> None:
             handle.write(f"{p.n},{p.v},{p.repeats},{p.v_mean:.6f},{p.v_sd:.6f}\n")
 
 
+def _heap_point(n: str, v: str, repeats: str, mean: str, sd: str) -> HeapPoint:
+    return HeapPoint(int(n), int(v), int(repeats), float(mean), float(sd))
+
+
 def read_heap_file(source: Source) -> HeapCurve:
-    points = []
-    for row, (n, v, repeats, mean, sd) in read_csv(source, HEAP_FILE_HEADER,
-                                                    empty=EmptyInputError):
-        try:
-            points.append(HeapPoint(int(n), int(v), int(repeats), float(mean), float(sd)))
-        except ValueError as exc:
-            raise ValueError(at_row(source, row, exc)) from None
+    points = read_csv(source, HEAP_FILE_HEADER, _heap_point, empty=EmptyInputError)
     if not points:
         raise EmptyInputError("heap file has no points")
     return HeapCurve(tuple(points))

@@ -221,6 +221,66 @@ def test_cr_only_alias_table_loads(tmp_path, capsys):
     assert (tmp_path / "cr" / "sequences.txt").read_bytes() == b"Europe (1)\n" * 2
 
 
+def test_cr_only_table_names_the_row_that_does_not_decode(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(POLAND_AND_PL)
+    aliases = tmp_path / "cr_bad.csv"
+    aliases.write_bytes(b"alias,canonical_label\rUK,United Kingdom\rPL,Pol\xffand\r")
+    assert main([*MAP, str(corpus), "--aliases", str(aliases),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {aliases}: row 3: invalid UTF-8\n"
+
+
+def test_a_row_after_a_multiline_record_is_named_by_its_line(tmp_path, capsys):
+    """After a record over lines 3 and 4, a short row, a row that does not
+    decode and a row that csv cannot read, each on line 5, all name row 5."""
+    multiline = RANK_HEADER + b'1,"Asia (1)",5,50.00\n2,"Asia (1),\nEurope (1)",3,30.00\n'
+    errors = []
+    for row in (b'3,"Europe (1)",2\n', b'3,"Europe (1)",2,\xff\n',
+                b'3,"' + HUGE_FIELD + b'",2,20.00\n'):
+        target = tmp_path / "rank.csv"
+        target.write_bytes(multiline + row)
+        assert main([*FIT, str(target), "--output-dir", str(tmp_path / "out")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: {target}: row 5: {message}\n" for message in (
+        "expected 4 columns, got 3", "invalid UTF-8", "field larger than field limit (131072)")]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*CRAWL, "{corpus}", "--max-distance", "-1"], "max_distance must be >= 0"),
+    ([*CRAWL, "{missing}", "--max-distance", "-1"], "max_distance must be >= 0"),
+    (["gen", "--size", "-1"], "corpus_size must be >= 0"),
+    (["gen", "--exponent", "nan"], "exponent must be > 0"),
+    ([*CONTINENTS, "{bad}"], "{bad}: row 2: unknown continent 'Atlantis'"),
+], ids=["crawl", "crawl-missing-input", "gen-size", "gen-exponent", "map-continents"])
+def test_bad_option_fails_before_any_work(argv, message, tmp_path, capsys):
+    """A bad option or table is reported before any input is read and
+    before the output directory is made."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(GOOD_RECORD)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"territory,continent\nPoland,Atlantis\n")
+    paths = {"corpus": corpus, "missing": tmp_path / "missing.jsonl", "bad": bad}
+    out = tmp_path / "out"
+    assert main([*(a.format(**paths) for a in argv), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [
+    b"100,50,1,50.0,0.0\n" * 3,
+    # three sizes whose logarithms round to one float
+    b"".join(b"%d,5,1,5.0,0.0\n" % (10 ** 16 + 2 * i) for i in range(3)),
+], ids=["equal", "equal-logarithms"])
+def test_heap_file_of_one_sample_size_is_insufficient_data(rows, tmp_path, capsys):
+    target = tmp_path / "heap.csv"
+    target.write_bytes(HEAP_HEADER + rows)
+    out = tmp_path / "out"
+    assert main([*PLOT_HEAP, str(target), "--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "error: need >= 2 distinct sample sizes, have 1\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.fixture
 def rank_file(tmp_path):
     from contseq.stats import write_rank_file

@@ -8,7 +8,7 @@ import pytest
 
 from contseq import files
 from contseq.cli import main
-from contseq.errors import TableFormatError
+from contseq.errors import TableFormatError, TableValidationError
 from contseq.files import opened, read_csv, writing
 from contseq.ingest import record_to_json
 from helpers import record
@@ -49,35 +49,64 @@ class TestOpened:
             assert lines == ["x\n"]
 
 
+def cells(*values):
+    return list(values)
+
+
+def fail_on(value):
+    """A ``read_csv`` parse that raises on the row whose first cell is ``value``."""
+    def parse(*values):
+        if values[0] == value:
+            raise ValueError(f"bad value {value!r}")
+        return list(values)
+    return parse
+
+
 class TestReadCsv:
     def test_rows_with_numbers_blank_rows_skipped(self):
-        rows = list(read_csv(["A, B\n", "1,2\n", "\n", "  \n", "3,4\n"], "a,b"))
-        assert rows == [(2, ["1", "2"]), (5, ["3", "4"])]
+        lines = ["A, B\n", "1,2\n", "\n", "  \n", "3,4\n"]
+        assert read_csv(lines, "a,b", cells) == [["1", "2"], ["3", "4"]]
+        with pytest.raises(ValueError, match=r"^row 5: bad value '3'$"):
+            read_csv(lines, "a,b", fail_on("3"))
 
     def test_wrong_header(self):
         with pytest.raises(TableFormatError, match="row 1: expected header 'a,b'"):
-            list(read_csv(["a,c\n"], "a,b", TableFormatError))
+            read_csv(["a,c\n"], "a,b", cells, TableFormatError)
 
     def test_short_and_long_rows_carry_row_number(self):
         with pytest.raises(ValueError, match="row 3: expected 2 columns, got 1"):
-            list(read_csv(["a,b\n", "1,2\n", "1\n"], "a,b"))
+            read_csv(["a,b\n", "1,2\n", "1\n"], "a,b", cells)
         with pytest.raises(ValueError, match="row 2: expected 2 columns, got 3"):
-            list(read_csv(["a,b\n", "1,2,3\n"], "a,b"))
+            read_csv(["a,b\n", "1,2,3\n"], "a,b", cells)
 
     def test_empty_source_raises_empty_type(self):
         with pytest.raises(ValueError, match="row 1"):
-            list(read_csv([], "a,b"))
+            read_csv([], "a,b", cells)
         with pytest.raises(LookupError, match="row 1"):
-            list(read_csv([], "a,b", empty=LookupError))
+            read_csv([], "a,b", cells, empty=LookupError)
 
     def test_unreadable_row_carries_row_number(self):
         with pytest.raises(TableFormatError, match=r"^row 3: field larger than field limit"):
-            list(read_csv(["a,b\n", "1,2\n", "x" * 200_000 + ",3\n"], "a,b", TableFormatError))
+            read_csv(["a,b\n", "1,2\n", "x" * 200_000 + ",3\n"], "a,b", cells,
+                     TableFormatError)
 
     def test_quoted_cells(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text('a,b\n"x, y",2\n', encoding="utf-8")
-        assert list(read_csv(path, "a,b")) == [(2, ["x, y", "2"])]
+        assert read_csv(path, "a,b", cells) == [["x, y", "2"]]
+
+    def test_parse_error_keeps_its_type(self):
+        def parse(a, b):
+            raise TableValidationError(f"no {a}")
+        with pytest.raises(TableValidationError, match=r"^row 2: no x$"):
+            read_csv(["a,b\n", "x,y\n"], "a,b", parse, TableFormatError)
+
+    def test_a_record_is_named_by_its_last_row(self):
+        lines = ["a,b\n", '"x\n', 'y",2\n', "3,4\n"]
+        with pytest.raises(ValueError, match=r"^row 4: bad value '3'$"):
+            read_csv(lines, "a,b", fail_on("3"))
+        with pytest.raises(ValueError, match=r"^row 3: bad value 'x\\ny'$"):
+            read_csv(lines, "a,b", fail_on("x\ny"))
 
 
 class TestWriting:
