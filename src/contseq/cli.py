@@ -170,10 +170,9 @@ def cmd_map(args) -> int:
 
 def cmd_rank(args) -> int:
     """Aggregate a sequences file into the rank,sequence,count,percent table."""
-    out = _out_dir(args)
     codes, sequences = _read_sequences(args.input)
     table = RankTable.from_counts(dict(zip(sequences, np.bincount(codes).tolist())))
-    write_rank_file(table, out / "rank.csv")
+    write_rank_file(table, _out_dir(args) / "rank.csv")
     top = table.entries[0]
     print(f"{len(table)} distinct sequences over {table.total_count} records; "
           f"rank 1 is {render_sequence(top.sequence)!r} at {100 * top.frequency:.2f}%")
@@ -194,11 +193,10 @@ def _fit_rank_file(path: str, args, method: str):
 def cmd_fit_zipf(args) -> int:
     """Fit the rank-frequency exponent of a rank file and sweep the
     sensitivity battery."""
-    out = _out_dir(args)
     table, fit = _fit_rank_file(args.input, args, args.fit_method)
     sensitivity = zipf_sensitivity(table, min_count=args.fit_min_count,
                                    method=args.fit_method)
-    with writing(out / "zipf_fit.txt") as sink:
+    with writing(_out_dir(args) / "zipf_fit.txt") as sink:
         sink.write(format_fit_report(fit, sensitivity))
     print(f"zipf exponent {fit.exponent:.6f} +/- {fit.uncertainty:.6f} "
           f"(ranks {fit.fit_range[0]:g}..{fit.fit_range[1]:g}, "
@@ -208,7 +206,6 @@ def cmd_fit_zipf(args) -> int:
 
 def cmd_heap(args) -> int:
     """Sample the vocabulary-growth curve of a sequences file and fit it."""
-    out = _out_dir(args)
     corpus, _ = _read_sequences(args.input)
     if not corpus.size:
         raise EmptyInputError("no sequences in input")
@@ -217,6 +214,7 @@ def cmd_heap(args) -> int:
     curve = heap_curve(corpus, sample_sizes=sizes, repeats=args.heap_repeats,
                        seed=args.seed)
     fit = fit_heap(curve)  # before any write: a failed fit leaves the previous files
+    out = _out_dir(args)
     write_heap_file(curve, out / "heap_curve.csv")
     with writing(out / "heap_fit.txt") as sink:
         sink.write(format_fit_report(fit))
@@ -249,7 +247,6 @@ def cmd_crawl(args) -> int:
                          min_total_publications=args.min_pubs,
                          min_last_publication_year=args.min_year,
                          collect_pruned_publications=not args.drop_pruned_pubs)
-    out = _out_dir(args)
     store = CorpusStore.from_file(args.input)
     # any PublicationStore may stand in for the CorpusStore (bench/layers.py wraps it)
     if skipped := getattr(store, "duplicates_skipped", 0):
@@ -259,6 +256,7 @@ def cmd_crawl(args) -> int:
         print(f"warning: skipped {malformed} malformed lines", file=sys.stderr)
     result = crawl(store, args.seed_author, policy)
     by_distance = sorted(result.distances.items(), key=lambda kv: (kv[1], kv[0]))
+    out = _out_dir(args)
     _write_csv(out / "crawl_distances.csv", [("author_id", "distance"), *by_distance])
     _write_csv(out / "crawl_pruned.csv", [("author_id", "reason")] + [
         (author, result.frontier_pruned[author].value)
@@ -288,7 +286,6 @@ def cmd_plotdata(args) -> int:
     rank-frequency and vocabulary-growth figures."""
     if not args.rank_file and not args.heap_file:
         raise ValueError("need --rank-file and/or --heap-file")
-    out = _out_dir(args)
     plots = []  # every fit before any write: a failed fit leaves the previous files
     if args.rank_file:
         table, fit = _fit_rank_file(args.rank_file, args, "ols")
@@ -299,6 +296,7 @@ def cmd_plotdata(args) -> int:
         fit = fit_heap(curve)
         plots.append(("heap", [p.n for p in curve.points],
                       [p.v_mean for p in curve.points], fit, fit.exponent))
+    out = _out_dir(args)
     for plot in plots:
         _write_plot(out, *plot)
     return 0

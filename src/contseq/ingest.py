@@ -14,10 +14,12 @@ The corpus file format is line-delimited JSON, one publication per line:
 one; such records are later rejected as country-unidentifiable rather than
 malformed. Unknown extra fields are ignored. Blank lines are skipped.
 Every reader reads a line through one function, ``_decode_line``, which
-decodes and parses it once. Malformed lines, lines that are not valid
-UTF-8 and lines whose strings hold an unpaired surrogate, escaped or raw,
-never abort a run: they come back as :class:`MalformedRecord` notices and
-are tallied in the :class:`IngestReport`.
+decodes and parses it once and walks its authors once, checking them and
+collecting their ids, the set of country labels and the largest affiliation
+count, so neither ``map`` nor ``crawl`` walks a record again. Malformed
+lines, lines that are not valid UTF-8 and lines whose strings hold an
+unpaired surrogate, escaped or raw, never abort a run: they come back as
+:class:`MalformedRecord` notices and are tallied in the :class:`IngestReport`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import enum
 import json
 import re
 from dataclasses import asdict, astuple, dataclass
-from operator import add, attrgetter, itemgetter, methodcaller
-from typing import Callable, Iterable, Iterator
+from operator import add
+from typing import Iterable, Iterator
 
 from .errors import ContractViolationError
 from .files import Sink, Source, opened, writing
@@ -38,7 +40,6 @@ from .model import (Affiliation, AuthorRecord, ContinentSequence, ContinentTable
 SCHEMA_VERSION = 1
 MAX_NOTICES = 5  # malformed-line notices SequenceMapper.map_lines returns per call
 _MEMO_SIZE = 1 << 16  # label sets a SequenceMapper remembers
-_AFFILIATIONS, _COUNTRY = itemgetter("affiliations"), methodcaller("get", "country")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,11 +103,15 @@ class IngestReport:
         return {**asdict(self), "total": self.total}
 
 
-def _decode_line(line: str | bytes) -> tuple[str, int, list] | str | None:
-    """A corpus line's ``(pub_id, year, authors)`` once every schema check has
-    passed, None if it is blank, else the message of the first failed check.
-    ``authors`` is the line's own list of author objects, in which a blank
-    ``country`` is set to None. A str is read as its UTF-8 bytes."""
+def _decode_line(line: str | bytes) -> (tuple[str, int, list[str], frozenset, int, list]
+                                        | str | None):
+    """A corpus line's ``(pub_id, year, author_ids, labels, most, authors)``
+    once every schema check has passed, None if it is blank, else the message
+    of the first failed check. One walk over the authors checks them and
+    collects the rest: ``author_ids`` in order, the set of country ``labels``
+    (None for a blank or absent one), the ``most`` affiliations any author
+    lists, and ``authors``, the line's own list of author objects, in which a
+    blank ``country`` is set to None. A str is read as its UTF-8 bytes."""
     if isinstance(line, str):
         try:
             line = line.encode("utf-8")
@@ -131,7 +136,8 @@ def _decode_line(line: str | bytes) -> tuple[str, int, list] | str | None:
     if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
         return f"unsupported schema_version {version!r}"
     pub_id = obj.get("id")
-    if not isinstance(pub_id, str) or not pub_id.strip():
+    # `not s or s.isspace()` is `not s.strip()` without building a string
+    if not isinstance(pub_id, str) or not pub_id or pub_id.isspace():
         return "missing or empty 'id'"
     year = obj.get("year")
     if isinstance(year, bool) or not isinstance(year, int):
@@ -139,11 +145,12 @@ def _decode_line(line: str | bytes) -> tuple[str, int, list] | str | None:
     authors = obj.get("authors")
     if not isinstance(authors, list) or not authors:
         return "'authors' must be a non-empty array"
+    author_ids, labels, most = [], set(), 0
     for i, author in enumerate(authors):
         if not isinstance(author, dict):
             return f"author {i} is not an object"
         author_id = author.get("author_id")
-        if not isinstance(author_id, str) or not author_id.strip():
+        if not isinstance(author_id, str) or not author_id or author_id.isspace():
             return f"author {i}: missing or empty 'author_id'"
         affiliations = author.get("affiliations")
         if not isinstance(affiliations, list) or not affiliations:
@@ -152,22 +159,26 @@ def _decode_line(line: str | bytes) -> tuple[str, int, list] | str | None:
             if not isinstance(aff, dict):
                 return f"author {i}, affiliation {j}: not an object"
             institution = aff.get("institution")
-            if not isinstance(institution, str) or not institution.strip():
+            if not isinstance(institution, str) or not institution or institution.isspace():
                 return f"author {i}, affiliation {j}: missing or empty 'institution'"
             country = aff.get("country")
             if country is not None:
                 if not isinstance(country, str):
                     return f"author {i}, affiliation {j}: 'country' must be a string"
-                if not country.strip():
-                    aff["country"] = None
-    return pub_id, year, authors
+                if not country or country.isspace():
+                    aff["country"] = country = None
+            labels.add(country)
+        author_ids.append(author_id)
+        if len(affiliations) > most:
+            most = len(affiliations)
+    return pub_id, year, author_ids, frozenset(labels), most, authors
 
 
 def _record(fields: tuple | str, line_number: int) -> PublicationRecord | MalformedRecord:
     """The record of :func:`_decode_line`'s fields, or the notice of its message."""
     if isinstance(fields, str):
         return MalformedRecord(line_number, fields)
-    pub_id, year, authors = fields
+    pub_id, year, _, _, _, authors = fields
     return PublicationRecord(pub_id, year, tuple(
         AuthorRecord(author["author_id"], tuple(
             Affiliation(aff["institution"], aff.get("country")) for aff in author["affiliations"]))
@@ -201,23 +212,9 @@ def store_fields(lines: Iterable[bytes]) -> Iterator[tuple[str, int, list[str]] 
     malformed line, in input order, but build no record."""
     for fields in map(_decode_line, lines):
         if type(fields) is tuple:
-            pub_id, year, authors = fields
-            yield pub_id, year, [author["author_id"] for author in authors]
+            yield fields[:3]
         elif fields is not None:
             yield fields
-
-
-def _labels_or_reject(affiliation_lists: Iterable, limit: int,
-                      country: Callable) -> frozenset | RejectReason:
-    """Rule 1 for a whole record, then the set of its country labels:
-    TOO_MANY_AFFILIATIONS if one of its authors' ``affiliation_lists`` is
-    longer than ``limit``, else what ``country`` reads from each affiliation."""
-    labels = set()
-    for affiliations in affiliation_lists:
-        if len(affiliations) > limit:
-            return RejectReason.TOO_MANY_AFFILIATIONS
-        labels.update(map(country, affiliations))
-    return frozenset(labels)
 
 
 def classify(record: PublicationRecord, policy: ExclusionPolicy,
@@ -230,12 +227,12 @@ def classify(record: PublicationRecord, policy: ExclusionPolicy,
     TOO_MANY_AFFILIATIONS. The country rule is the mapping itself, which
     resolves each distinct label once.
     """
-    labels = _labels_or_reject((author.affiliations for author in record.authors),
-                               policy.max_affiliations_per_author, attrgetter("country"))
-    if labels is RejectReason.TOO_MANY_AFFILIATIONS:
-        return labels
+    limit = policy.max_affiliations_per_author
+    if any(len(author.affiliations) > limit for author in record.authors):
+        return RejectReason.TOO_MANY_AFFILIATIONS
     try:
-        return labels_to_sequence(labels, table)
+        return labels_to_sequence({aff.country for author in record.authors
+                                   for aff in author.affiliations}, table)
     except ContractViolationError:
         return RejectReason.COUNTRY_UNIDENTIFIABLE
 
@@ -263,21 +260,25 @@ class SequenceMapper:
         notices of the first :data:`MAX_NOTICES` malformed lines, numbered
         from 1; and the number of lines read."""
         limit, memo = self.policy.max_affiliations_per_author, self._memo
-        report, notices, out, number = IngestReport(), [], [], 0
+        notices, out = [], []
+        number = accepted = too_many = unidentifiable = malformed = 0
         for number, fields in enumerate(map(_decode_line, lines), 1):
             if type(fields) is not tuple:
                 if fields is not None:
-                    report.rejected_malformed += 1
+                    malformed += 1
                     if len(notices) < MAX_NOTICES:
                         notices.append(MalformedRecord(number, fields))
-                continue
-            result = _labels_or_reject(map(_AFFILIATIONS, fields[2]), limit, _COUNTRY)
-            if result is not RejectReason.TOO_MANY_AFFILIATIONS:
-                result = memo[result] if result in memo else self._render(result)
-            report.tally(result)
-            if type(result) is str:
-                out.append(result)
-        return "".join(out), report, notices, number
+            elif fields[4] > limit:  # rule 1, on the most affiliations of any author
+                too_many += 1
+            else:
+                result = memo.get(fields[3]) or self._render(fields[3])
+                if result is RejectReason.COUNTRY_UNIDENTIFIABLE:
+                    unidentifiable += 1
+                else:
+                    accepted += 1
+                    out.append(result)
+        return ("".join(out), IngestReport(accepted, too_many, unidentifiable, malformed),
+                notices, number)
 
     def _render(self, labels: frozenset) -> str | RejectReason:
         """The sequence line of a label set, or COUNTRY_UNIDENTIFIABLE."""

@@ -278,7 +278,25 @@ def test_heap_file_of_one_sample_size_is_insufficient_data(rows, tmp_path, capsy
     out = tmp_path / "out"
     assert main([*PLOT_HEAP, str(target), "--output-dir", str(out)]) == 3
     assert capsys.readouterr().err == "error: need >= 2 distinct sample sizes, have 1\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*RANK, "{target}"], "{target}: row 2: cannot parse sequence part 'garbage'"),
+    (["crawl", "--seed-author", "ghost", "--input", "{corpus}"], "unknown author 'ghost'"),
+], ids=["rank-bad-row", "crawl-unknown-seed"])
+def test_failed_command_leaves_no_output_directory(argv, message, tmp_path, capsys):
+    """A command that fails on its input, even after reading all of it,
+    makes no output directory."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(GOOD_RECORD)
+    target = tmp_path / "sequences.txt"
+    target.write_bytes(b"Asia (1)\ngarbage\n")
+    paths = {"corpus": corpus, "target": target}
+    out = tmp_path / "out"
+    assert main([*(a.format(**paths) for a in argv), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not out.exists()
 
 
 @pytest.fixture

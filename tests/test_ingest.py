@@ -4,11 +4,13 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from contseq.cli import main
 from contseq.errors import ContractViolationError
 from contseq.ingest import (ExclusionPolicy, IngestReport, MalformedRecord,
-                            RejectReason, SCHEMA_VERSION, classify, filter_record,
-                            parse_corpus, parse_record_line, record_to_json,
-                            write_corpus)
+                            RejectReason, SCHEMA_VERSION, _decode_line, classify,
+                            filter_record, parse_corpus, parse_record_line,
+                            record_to_json, write_corpus)
+from contseq.mapping import render_sequence
 from contseq.model import ContinentSequence, PublicationRecord
 from helpers import publication_countries, record
 from strategies import publication_records
@@ -118,6 +120,25 @@ class TestParse:
         source = io.StringIO(line() + "\n\nbroken\n")
         items = list(parse_corpus(source))
         assert items[1].line_number == 3
+
+    def test_blank_check_agrees_with_strip(self):
+        """The decoder's ``not s or s.isspace()`` is ``not s.strip()``."""
+        texts = ["", *map(chr, range(0xD800)), *map(chr, range(0xE000, 0x110000))]
+        assert [s for s in texts if (not s.strip()) != (not s or s.isspace())] == []
+
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("blank", ["\x85", " ", "\x1f"])
+    def test_whitespace_only_fields(self, blank, raw):
+        def authors(author_id="a", **aff):
+            return [{"author_id": author_id, "affiliations": [{"institution": "x", **aff}]}]
+        assert _decode_line(line(blank, raw=raw)) == "missing or empty 'id'"
+        assert (_decode_line(line(authors=authors(blank), raw=raw))
+                == "author 0: missing or empty 'author_id'")
+        assert (_decode_line(line(authors=authors(institution=blank), raw=raw))
+                == "author 0, affiliation 0: missing or empty 'institution'")
+        fields = _decode_line(line(authors=authors(country=blank), raw=raw))
+        assert fields == ("p1", 2020, ["a"], frozenset({None}), 1,
+                          authors(institution="x", country=None))
 
 
 class TestFilter:
@@ -230,6 +251,29 @@ class TestSerialization:
     def test_absent_country_not_emitted(self):
         rec = record("p1", [[None]])
         assert "country" not in record_to_json(rec)
+
+
+@pytest.mark.parametrize("limit", [1, 5])
+def test_affiliation_rule_precedes_labels_in_map_and_classify(limit, table, tmp_path):
+    """Record A's first author has a label that does not resolve and its last
+    author one affiliation too many: rule 1 rejects it. Record B's author is
+    at the limit and is accepted."""
+    poland = {"institution": "x", "country": "Poland"}
+    too_many = line("A", authors=[
+        {"author_id": "a1", "affiliations": [{"institution": "x", "country": "Atlantis"}]},
+        {"author_id": "a2", "affiliations": [poland] * (limit + 1)}])
+    at_limit = line("B", authors=[{"author_id": "a1", "affiliations": [poland] * limit}])
+    policy = ExclusionPolicy(limit)
+    assert (classify(parse_record_line(too_many), policy, table)
+            is RejectReason.TOO_MANY_AFFILIATIONS)
+    assert render_sequence(classify(parse_record_line(at_limit), policy, table)) == "Europe (1)"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(too_many + "\n" + at_limit + "\n")
+    argv = ["map", "--threads", "1", "--input", str(corpus), "--output-dir", str(tmp_path)]
+    assert main(argv if limit == 5 else [*argv, "--max-affils", str(limit)]) == 0
+    assert json.loads((tmp_path / "ingest_report.json").read_text()) == IngestReport(
+        accepted=1, rejected_too_many_affiliations=1).as_dict()
+    assert (tmp_path / "sequences.txt").read_text() == "Europe (1)\n"
 
 
 def test_policy_validation():
