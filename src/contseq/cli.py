@@ -22,13 +22,14 @@ and print the seed they used.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import json
 import os
 import sys
 from collections import defaultdict
 from functools import partial
-from itertools import count
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -106,19 +107,21 @@ def _read_sequences(path: str) -> tuple[np.ndarray, list[ContinentSequence]]:
     """The ``int32`` sequence code of each non-blank line of a sequences
     file, and the distinct sequences by code, in first-seen order.
 
-    The file is read once, as bytes split at ``\\n``. Each distinct
-    stripped line is then decoded and parsed once, in the order of its first
-    row, so the first row that is not UTF-8 (ValueError) or does not parse
-    (SequenceFormatError) is the one named. Texts that differ only in case
-    or spacing parse to one sequence and share its code."""
+    The file is read once, as bytes split at ``\\n``, and a byte-order mark
+    is dropped from the first row only. Each distinct stripped line is then
+    decoded and parsed once, in the order of its first row, so the first row
+    that is not UTF-8 (ValueError) or does not parse (SequenceFormatError) is
+    the one named. Texts that differ only in case or spacing parse to one
+    sequence and share its code."""
     numbers = defaultdict(count().__next__)  # stripped line -> its number, in first-seen order
     with opened(path, binary=True) as lines:
+        lines = chain((line.removeprefix(codecs.BOM_UTF8) for line in islice(lines, 1)), lines)
         rows = np.fromiter(map(numbers.__getitem__, map(bytes.strip, lines)), dtype=np.int32)
     codes = np.full(len(numbers), -1, dtype=np.int32)  # -1: a blank line
     sequences: dict[ContinentSequence, int] = {}
     for number, line in enumerate(numbers):
         try:
-            if text := line.decode("utf-8-sig" if number == 0 else "utf-8").strip():
+            if text := line.decode().strip():
                 codes[number] = sequences.setdefault(parse_sequence(text), len(sequences))
         except (UnicodeDecodeError, SequenceFormatError) as exc:
             row = int(np.argmax(rows == number)) + 1  # the line's first row

@@ -70,7 +70,8 @@ class PublicationStore(Protocol):
     ``a in authors_of(p)`` iff ``p in publications_of(a)``, and profiles must
     agree with the publication sets. A client for a live bibliographic API
     would implement this same contract. The id queries may answer with any
-    collection, a list for example: the crawl only iterates them.
+    collection, a list for example: the crawl only iterates them. A
+    :class:`CorpusStore` answers with lists that hold each id once.
     """
 
     def publications_of(self, author_id: str) -> Collection[str]: ...
@@ -132,8 +133,8 @@ class CorpusStore:
     graph are compressed sparse rows: ``int32`` members under ``int64``
     offsets. Beyond the id strings, the index holds no Python object per
     record, so it costs the cyclic garbage collector nothing. An author
-    listed twice in one record counts once. Queries build their
-    ``frozenset`` or :class:`AuthorProfile` on demand.
+    listed twice in one record counts once. An id query answers with a list
+    of one row's ids, each id once; a profile is built on demand.
 
     Profiles are store-wide: an author's publication count and last year are
     computed over everything in the store, not over what a crawl collects.
@@ -193,14 +194,13 @@ class CorpusStore:
         author_members = np.repeat(np.arange(len(years), dtype=np.int32), pub_sizes)[order]
         counts = np.bincount(pub_members, minlength=len(author_number))
         author_offsets = np.concatenate(([0], np.cumsum(counts)))
-        # exact ints: a year beyond int64 makes an object array, which maximum.at handles too
+        # exact ints: a year beyond int64 makes an object array, which reduceat handles too
         try:
-            member_years = np.repeat(np.array(years, dtype=np.int64), pub_sizes)
+            pub_years = np.array(years, dtype=np.int64)
         except OverflowError:
-            member_years = np.repeat(np.array(years, dtype=object), pub_sizes)
-        last_years = np.full(len(author_number), member_years.min(initial=0),
-                             dtype=member_years.dtype)  # no later than any year
-        np.maximum.at(last_years, pub_members, member_years)
+            pub_years = np.array(years, dtype=object)
+        # reduceat needs every row non-empty: each author has a publication
+        last_years = np.maximum.reduceat(pub_years[author_members], author_offsets[:-1])
 
         self._pub_number, self._pub_ids = pub_number, list(pub_number)
         self._author_number, self._author_ids = author_number, list(author_number)
@@ -237,20 +237,20 @@ class CorpusStore:
         except KeyError:
             raise UnknownAuthorError(f"unknown author {author_id!r}") from None
 
-    def publications_of(self, author_id: str) -> frozenset[str]:
+    def publications_of(self, author_id: str) -> list[str]:
         a = self._author(author_id)
         offsets = self._author_offsets
-        return frozenset(map(self._pub_ids.__getitem__,
-                             self._author_members[offsets[a]:offsets[a + 1]]))
+        return list(map(self._pub_ids.__getitem__,
+                        self._author_members[offsets[a]:offsets[a + 1]]))
 
-    def authors_of(self, pub_id: str) -> frozenset[str]:
+    def authors_of(self, pub_id: str) -> list[str]:
         try:
             p = self._pub_number[pub_id]
         except KeyError:
             raise UnknownPublicationError(f"unknown publication {pub_id!r}") from None
         offsets = self._pub_offsets
-        return frozenset(map(self._author_ids.__getitem__,
-                             self._pub_members[offsets[p]:offsets[p + 1]]))
+        return list(map(self._author_ids.__getitem__,
+                        self._pub_members[offsets[p]:offsets[p + 1]]))
 
     def profile(self, author_id: str) -> AuthorProfile:
         a = self._author(author_id)
@@ -299,11 +299,9 @@ def crawl(store: PublicationStore, seed: str,
     store.profile(seed)  # seed must exist
     distances: dict[str, int] = {seed: 0}
     pruned: dict[str, PruneReason] = {}
+    # Until the last layer, the expanded authors' publications. A publication's
+    # first listing reaches each co-author at the least distance.
     publications: set[str] = set()
-    # Publications whose co-authors were enumerated. The first enumeration
-    # reaches each co-author at the least distance, so a repeat adds nothing.
-    # Not ``publications``: a pruned author's are collected, not enumerated.
-    enumerated: set[str] = set()
     frontier = [seed]
     while frontier:
         next_frontier: list[str] = []
@@ -314,17 +312,17 @@ def crawl(store: PublicationStore, seed: str,
                 store.profile(author), distance, policy)
             if reason is not None:
                 pruned[author] = reason
-                if policy.collect_pruned_publications:
-                    publications.update(store.publications_of(author))
                 continue
             for pub_id in store.publications_of(author):
-                publications.add(pub_id)
-                if pub_id in enumerated:
+                if pub_id in publications:
                     continue
-                enumerated.add(pub_id)
+                publications.add(pub_id)
                 for coauthor in store.authors_of(pub_id):
                     if coauthor not in distances:
                         distances[coauthor] = distance + 1
                         next_frontier.append(coauthor)
         frontier = next_frontier
+    if policy.collect_pruned_publications:
+        for author in pruned:
+            publications.update(store.publications_of(author))
     return CrawlResult(seed, distances, publications, pruned)

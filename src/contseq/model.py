@@ -8,7 +8,6 @@ worker processes or threads.
 from __future__ import annotations
 
 import enum
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
@@ -18,13 +17,11 @@ from typing import Mapping
 from .errors import TableFormatError, TableValidationError
 from .files import Source, read_csv
 
-_WS = re.compile(r"\s+")
-
 
 def normalize_label(text: str) -> str:
     """Normalize a territory label for comparison: trim, collapse internal
     whitespace, casefold."""
-    return _WS.sub(" ", text.strip()).casefold()
+    return " ".join(text.split()).casefold()
 
 
 @total_ordering

@@ -182,7 +182,7 @@ def oracle_crawl(store, seed: str, policy: CrawlPolicy) -> CrawlResult:
     publications = set()
     for author, distance in distances.items():
         if expandable(author, distance):
-            publications |= store.publications_of(author)
+            publications.update(store.publications_of(author))
             continue
         profile = store.profile(author)
         if distance > policy.max_distance:
@@ -192,5 +192,5 @@ def oracle_crawl(store, seed: str, policy: CrawlPolicy) -> CrawlResult:
         else:
             pruned[author] = PruneReason.STALE
         if policy.collect_pruned_publications:
-            publications |= store.publications_of(author)
+            publications.update(store.publications_of(author))
     return CrawlResult(seed, distances, publications, pruned)

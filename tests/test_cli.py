@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import contseq
-from contseq import cli
+from contseq import cli, files
 from contseq.cli import main
 from contseq.ingest import write_corpus
 from contseq.model import ContinentTable
@@ -19,6 +19,7 @@ from contseq.stats import read_heap_file
 from contseq.syngen import SyntheticSpec, corpus_lines, iter_corpus
 from golden import GOLDEN_RANK_LINES, fixture_sequences
 from helpers import coauthored, record
+from test_crawl import DATA, _bench_module
 
 
 def write_lines(path, lines):
@@ -413,3 +414,41 @@ def test_fits_load_no_scipy(tmp_path):
                             text=True, timeout=120, check=True)
     loaded = [json.loads(line) for line in result.stderr.splitlines()]
     assert loaded == [[0, False, False]] * 4
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Under two hash seeds, every command writes the same bytes and prints
+    the same: no output follows the order of a set or of str hashes. The
+    corpus spans more than two read ranges, so map and crawl read it in a
+    pool of workers."""
+    corpus = _bench_module("corpus")
+    path = tmp_path / "corpus.jsonl"
+    truth = corpus.write_coauthor_corpus(path, 5, 16_000, corpus.Geography.load(DATA))
+    assert path.stat().st_size > 2 * files._RANGE_BYTES
+    seed = corpus.author_id(truth.seed_author())
+    commands = [  # each writes to the directory named by its index
+        ["map", "--input", str(path), "--threads", "2",
+         "--aliases", str(DATA / "aliases-example.csv")],
+        ["rank", "--input", "0/sequences.txt"],
+        ["fit-zipf", "--input", "1/rank.csv"],
+        ["fit-zipf", "--input", "1/rank.csv", "--fit-method", "mle"],
+        ["heap", "--input", "0/sequences.txt", "--seed", "1"],
+        ["plotdata", "--rank-file", "1/rank.csv", "--heap-file", "4/heap_curve.csv"],
+        ["crawl", "--input", str(path), "--seed-author", seed],
+        ["crawl", "--input", str(path), "--seed-author", seed, "--min-pubs", "1"],
+    ]
+    runs = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(contseq.__file__).parents[1]))
+        printed = [subprocess.run([sys.executable, "-m", "contseq.cli", *argv,
+                                   "--output-dir", str(i)], cwd=cwd, env=env,
+                                  capture_output=True, timeout=120)
+                   for i, argv in enumerate(commands)]
+        written = {str(f.relative_to(cwd)): f.read_bytes()
+                   for f in sorted(cwd.rglob("*")) if f.is_file()}
+        runs.append(([(p.returncode, p.stdout, p.stderr) for p in printed], written))
+    assert [code for code, _, _ in runs[0][0]] == [0] * len(commands), runs[0][0]
+    assert runs[0] == runs[1]

@@ -66,6 +66,8 @@ CASES = {
     "sequences-invalid-utf8-heap": (HEAP, b"Asia (1)\n\xff\n", 1),
     "sequences-unparsable-lone-cr-rank": (RANK, b"Asia (1)\rEurope (1)\n", 1),
     "sequences-unparsable-lone-cr-heap": (HEAP, b"Asia (1)\rEurope (1)\n", 1),
+    "sequences-unparsable-repeated-bom-rank": (RANK, (codecs.BOM_UTF8 + b"Asia (1)\n") * 2, 1),
+    "sequences-unparsable-repeated-bom-heap": (HEAP, (codecs.BOM_UTF8 + b"Asia (1)\n") * 2, 1),
     "rank-missing-fit": (FIT, MISSING, 1),
     "rank-missing-plot": (PLOT_RANK, MISSING, 1),
     "rank-empty-fit": (FIT, b"", 2),

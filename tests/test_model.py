@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given
@@ -42,6 +43,16 @@ class TestContinentOrder:
 def test_normalize_label():
     assert normalize_label("  Hong   KONG sar ") == "hong kong sar"
     assert normalize_label("Poland") == "poland"
+
+
+def test_normalize_label_agrees_with_regex_form():
+    """Splitting at whitespace and joining with one space is the regex form:
+    trim, collapse each whitespace run to a space, casefold."""
+    space = re.compile(r"\s+")
+    chars = [*map(chr, range(0xD800)), *map(chr, range(0xE000, 0x110000))]
+    texts = [c + "x" + c + c + "y" + c for c in chars]
+    assert [s for s in texts
+            if normalize_label(s) != space.sub(" ", s.strip()).casefold()] == []
 
 
 class TestLoadTable:
