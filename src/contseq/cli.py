@@ -258,17 +258,18 @@ def cmd_crawl(args) -> int:
     if malformed := getattr(store, "malformed_skipped", 0):
         print(f"warning: skipped {malformed} malformed lines", file=sys.stderr)
     result = crawl(store, args.seed_author, policy)
-    by_distance = sorted(result.distances.items(), key=lambda kv: (kv[1], kv[0]))
+    distances, pruned = result.distances, result.frontier_pruned
+    # by distance, then id: a stable sort of the ids in order
+    by_distance = sorted(distances)
+    by_distance.sort(key=distances.__getitem__)
     out = _out_dir(args)
-    _write_csv(out / "crawl_distances.csv", [("author_id", "distance"), *by_distance])
-    _write_csv(out / "crawl_pruned.csv", [("author_id", "reason")] + [
-        (author, result.frontier_pruned[author].value)
-        for author in sorted(result.frontier_pruned)])
+    _write_csv(out / "crawl_distances.csv", chain(
+        [("author_id", "distance")], ((author, distances[author]) for author in by_distance)))
+    _write_csv(out / "crawl_pruned.csv", chain(
+        [("author_id", "reason")], ((author, pruned[author].value) for author in sorted(pruned))))
     _write_lines(out / "crawl_publications.txt", sorted(result.publication_ids))
-    expanded = len(result.distances) - len(result.frontier_pruned)
-    print(f"visited {len(result.distances)} authors ({expanded} expanded, "
-          f"{len(result.frontier_pruned)} pruned); "
-          f"collected {len(result.publication_ids)} publications")
+    print(f"visited {len(distances)} authors ({len(distances) - len(pruned)} expanded, "
+          f"{len(pruned)} pruned); collected {len(result.publication_ids)} publications")
     return 0
 
 

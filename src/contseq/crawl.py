@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import enum
 import os
+import zlib
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import accumulate, count
 from pathlib import Path
 from typing import Collection, Iterable, Protocol
 
@@ -81,16 +83,39 @@ class PublicationStore(Protocol):
     def profile(self, author_id: str) -> AuthorProfile: ...
 
 
+#: Ids of one kind as buffers: their UTF-8 bytes one after another
+#: (``uint8``), the ``int64`` end of each id's bytes, and each id's ``uint32``
+#: digest.
+Blob = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 #: One range's index columns: its publication ids, their years, the ``int64``
 #: end of each record's author numbers, those ``int32`` numbers, the author
 #: ids that the numbers index, in first-seen order, and the number of
 #: malformed lines in the range.
-Columns = tuple[list[str], list[int], array, array, list[str], int]
+Columns = tuple[Blob, np.ndarray, np.ndarray, np.ndarray, Blob, int]
+
+#: The digest of an id's bytes. It depends on the bytes alone, so every
+#: process and every run agrees on it, and a match is confirmed by comparing
+#: the bytes, so ids whose digests collide are told apart. CRC-32 is not a
+#: cryptographic digest: a corpus can be made whose ids share one. The cost
+#: grows with how many do: for k distinct ids of one digest, the build's
+#: merge makes about k rounds and each lookup compares up to k ids' bytes.
+_digest = zlib.crc32
+_CHUNK = 1 << 16  # pairs of ids that _same compares at once
+_LOW = 0xFFFFFFFF
 
 
 def _numbering() -> defaultdict:
     """A dict that numbers each new key on lookup: 0, 1, 2, ..."""
     return defaultdict(count().__next__)
+
+
+def _blob(ids: list[str]) -> Blob:
+    # surrogatepass: a record built in code may hold an unpaired surrogate
+    encoded = [id_.encode("utf-8", "surrogatepass") for id_ in ids]
+    return (np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))),
+            np.fromiter(map(_digest, encoded), dtype=np.uint32, count=len(encoded)))
 
 
 def _columns(entries: Iterable[tuple[str, int, list[str]] | str]) -> Columns:
@@ -108,7 +133,12 @@ def _columns(entries: Iterable[tuple[str, int, list[str]] | str]) -> Columns:
         years.append(year)
         members.extend(map(authors.__getitem__, dict.fromkeys(author_ids)))
         ends.append(len(members))
-    return pub_ids, years, ends, members, list(authors), malformed
+    try:
+        years = np.array(years, dtype=np.int64)
+    except OverflowError:  # exact ints: a year beyond int64 makes an object array
+        years = np.array(years, dtype=object)
+    return (_blob(pub_ids), years, np.frombuffer(ends, dtype=np.int64),
+            np.frombuffer(members, dtype=np.int32), _blob(list(authors)), malformed)
 
 
 def _file_columns(lines: Iterable[bytes]) -> Columns:
@@ -116,25 +146,135 @@ def _file_columns(lines: Iterable[bytes]) -> Columns:
     return _columns(store_fields(lines))
 
 
-def _keep(columns: Columns, kept: list[int]) -> Columns:
-    """``columns`` cut down to the records at the ``kept`` indices."""
-    pub_ids, years, ends, members, authors, _ = columns
-    starts = [0, *ends]
-    return _columns((pub_ids[i], years[i], [authors[m] for m in members[starts[i]:ends[i]]])
-                    for i in kept)
+def _stacked(arrays: Iterable[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """``arrays`` one after another, each raised by the total of the
+    ``sizes`` before it: offsets or numbers within parts become offsets or
+    numbers within the whole. The totals are Python ints, so each part
+    keeps its dtype."""
+    return np.concatenate([a + s for a, s in zip(arrays, accumulate(sizes[:-1], initial=0))])
+
+
+def _joined(blobs: Iterable[Blob]) -> Blob:
+    """Blobs one after another, as one."""
+    datas, ends, digests = zip(*blobs)
+    return (np.concatenate(datas), _stacked(ends, [len(d) for d in datas]),
+            np.concatenate(digests))
+
+
+def _subset(ids: Blob, kept: np.ndarray) -> Blob:
+    """The ``kept`` ids (a boolean mask), in order."""
+    data, ends, digests = ids
+    lengths = np.diff(ends, prepend=0)
+    return data[np.repeat(kept, lengths)], np.cumsum(lengths[kept]), digests[kept]
+
+
+def _pairs(keys: np.ndarray) -> np.ndarray:
+    """``key << 32 | index`` for each of ``keys`` (each below 2**32), sorted:
+    the keys in order and, in the low 32 bits, their stable argsort."""
+    pairs = keys.astype(np.uint64) << 32
+    pairs |= np.arange(len(keys), dtype=np.uint64)
+    pairs.sort()
+    return pairs
+
+
+def _firsts(ids: Blob) -> np.ndarray:
+    """For each id, the index of the first id with the same bytes.
+
+    The ids are sorted stably by digest. In each run of equal digests, the
+    ids whose bytes equal those of the run's first one are matched to it;
+    the rest, whose digests collide with it, go round again."""
+    data, ends, digests = ids
+    offsets = np.concatenate(([0], ends))
+    pairs = _pairs(digests)
+    runs, todo = (pairs >> 32).astype(np.uint32), (pairs & _LOW).astype(np.uint32)
+    del pairs  # todo: the ids not yet matched, by digest
+    firsts = np.empty(len(todo), dtype=np.uint32)
+    while len(todo):
+        same = np.concatenate(([True], runs[1:] != runs[:-1]))  # a run's head matches itself
+        heads = np.where(same, np.arange(len(todo), dtype=np.uint32), 0)
+        np.maximum.accumulate(heads, out=heads)
+        heads = todo[heads]  # each id's run head
+        later = ~same
+        same[later] = _same(data, offsets, todo[later], heads[later])
+        del later
+        firsts[todo[same]] = heads[same]
+        todo, runs = todo[~same], runs[~same]
+    return firsts
+
+
+def _same(data: np.ndarray, offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether id ``a[i]`` has the bytes of id ``b[i]``, for each i.
+
+    The ids are compared a chunk at a time and a byte position at a time,
+    so the temporaries stay small however long the ids are."""
+    same = np.empty(len(a), dtype=bool)
+    for chunk in range(0, len(a), _CHUNK):
+        a_ids, b_ids = a[chunk:chunk + _CHUNK], b[chunk:chunk + _CHUNK]
+        a_starts, b_starts = offsets[a_ids], offsets[b_ids]
+        lengths = offsets[a_ids + 1] - a_starts
+        part = same[chunk:chunk + _CHUNK]
+        np.equal(lengths, offsets[b_ids + 1] - b_starts, out=part)
+        at, k = np.flatnonzero(part), 0  # the pairs equal up to byte k
+        while len(at := at[lengths[at] > k]):
+            part[at] = data[a_starts[at] + k] == data[b_starts[at] + k]
+            at, k = at[part[at]], k + 1
+    return same
+
+
+class _Ids:
+    """Ids of one kind, numbered in order: their UTF-8 bytes one after
+    another under ``int64`` offsets, and ``digest << 32 | number`` for each
+    id, sorted for lookup."""
+
+    __slots__ = ("_data", "_offsets", "_keys")
+
+    def __init__(self, ids: Blob):
+        data, ends, digests = ids
+        self._data = data.tobytes()
+        self._offsets = memoryview(np.concatenate(([0], ends)))
+        self._keys = memoryview(_pairs(digests))
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def number(self, id_: str) -> int | None:
+        """The number of ``id_``, or None if it is not here."""
+        key = id_.encode("utf-8", "surrogatepass")  # as _blob encodes
+        low = _digest(key) << 32
+        data, offsets, keys = self._data, self._offsets, self._keys
+        i = bisect_left(keys, low)
+        # keys[i] - low is the number of an id with this digest, if below 2**32
+        while i < len(keys) and (number := keys[i] - low) <= _LOW:
+            if data[offsets[number]:offsets[number + 1]] == key:
+                return number
+            i += 1
+        return None
+
+    def decoded(self, numbers: Iterable[int]) -> list[str]:
+        data, offsets = self._data, self._offsets
+        return [str(data[offsets[n]:offsets[n + 1]], "utf-8", "surrogatepass")
+                for n in numbers]
 
 
 class CorpusStore:
     """In-memory :class:`PublicationStore` indexed from publication records.
 
-    Only each record's publication id, year and author ids are kept. Ids are
-    interned as integers (a dict from id to number and a list back, for
-    authors and for publications), and both directions of the co-authorship
-    graph are compressed sparse rows: ``int32`` members under ``int64``
-    offsets. Beyond the id strings, the index holds no Python object per
-    record, so it costs the cyclic garbage collector nothing. An author
-    listed twice in one record counts once. An id query answers with a list
-    of one row's ids, each id once; a profile is built on demand.
+    Only each record's publication id, year and author ids are kept, and in
+    buffers, not in a Python object per id. The ids of each kind are one
+    UTF-8 blob under ``int64`` offsets, numbered in first-seen order, with a
+    ``uint64`` key per id, its CRC-32 digest and its number, sorted for
+    lookup. A query bisects the keys of its id's digest and compares bytes,
+    so ids whose digests collide are told apart, and it decodes only the
+    ids it returns. Both directions of the co-authorship graph are
+    compressed sparse rows: ``int32`` members under ``int64`` offsets. The
+    index costs the cyclic garbage collector nothing. An author listed twice
+    in one record counts once. An id query answers with a list of one row's
+    ids, each id once; a profile is built on demand.
+
+    Range workers return each range's ids as blobs, and the build merges
+    them with numpy alone: equal digests next to each other under a stable
+    sort, confirmed by bytes, find the first record of each publication id
+    and make byte-equal author ids from different ranges one author.
 
     Profiles are store-wide: an author's publication count and last year are
     computed over everything in the store, not over what a crawl collects.
@@ -145,73 +285,67 @@ class CorpusStore:
     malformed_skipped = 0  # malformed lines from_file skipped
 
     def __init__(self, records: Iterable[PublicationRecord]):
-        duplicates, _ = self._index([_columns(
+        _, duplicate, _ = self._index([_columns(
             (r.pub_id, r.year, [a.author_id for a in r.authors]) for r in records)])
-        if duplicates:
-            raise ValueError(f"duplicate publication id {duplicates[0]!r}")
+        if duplicate is not None:
+            raise ValueError(f"duplicate publication id {duplicate!r}")
 
-    def _index(self, parts: Iterable[Columns]) -> tuple[list[str], int]:
+    def _index(self, parts: Iterable[Columns]) -> tuple[int, str | None, int]:
         """Index the columns of consecutive parts of a corpus, keeping the
-        first record of each publication id; return the other records' ids
-        and the number of malformed lines.
+        first record of each publication id; return the number of other
+        records, the id of the first of them (None if there is none) and the
+        number of malformed lines."""
+        pubs, years, ends, members, authors, malformed = zip(_columns(()), *parts)
+        del parts  # each column's parts go as soon as the column is joined
+        malformed = sum(malformed)
+        pubs, years = _joined(pubs), np.concatenate(years)
+        pub_ends = _stacked(ends, [len(m) for m in members])
+        members = _stacked(members, [len(e) for _, e, _ in authors])
+        authors = _joined(authors)
+        del ends
 
-        Each of a part's publication ids, and each of its distinct authors,
-        is looked up once; a part that repeats an id is cut down to the
-        first record of each id before its authors are numbered."""
-        pub_number, author_number = _numbering(), _numbering()
-        years: list[int] = []
-        member_parts = [np.empty(0, dtype=np.int32)]
-        end_parts = [np.zeros(1, dtype=np.int64)]
-        members_before = 0
-        duplicates: list[str] = []
-        malformed = 0
-        for part in parts:
-            malformed += part[-1]
-            pub_ids, before = part[0], len(pub_number)
-            numbers = list(map(pub_number.__getitem__, pub_ids))
-            if len(pub_number) - before < len(pub_ids):
-                # a repeated id. New ids were numbered in order of first sight,
-                # so a first record is one whose number is the next one.
-                kept = []
-                for i, number in enumerate(numbers):
-                    if number == before + len(kept):
-                        kept.append(i)
-                    else:
-                        duplicates.append(pub_ids[i])
-                part = _keep(part, kept)
-            _, part_years, ends, members, author_ids, _ = part
-            years.extend(part_years)
-            numbered = np.fromiter(map(author_number.__getitem__, author_ids), dtype=np.int32,
-                                   count=len(author_ids))
-            member_parts.append(numbered[np.frombuffer(members, dtype=np.int32)])
-            end_parts.append(np.frombuffer(ends, dtype=np.int64) + members_before)
-            members_before += len(members)
-        pub_number.default_factory = author_number.default_factory = None  # plain lookups
-        pub_members, pub_offsets = np.concatenate(member_parts), np.concatenate(end_parts)
-        del member_parts, end_parts  # before the build's own temporaries
-        pub_sizes = np.diff(pub_offsets)
-        order = np.argsort(pub_members, kind="stable")
-        author_members = np.repeat(np.arange(len(years), dtype=np.int32), pub_sizes)[order]
-        counts = np.bincount(pub_members, minlength=len(author_number))
+        kept = _firsts(pubs) == np.arange(len(years))
+        duplicates = len(kept) - int(np.count_nonzero(kept))
+        duplicate = None
+        if duplicates:
+            data, id_ends, _ = pubs
+            first = int(np.argmin(kept))
+            start = id_ends[first - 1] if first else 0
+            duplicate = str(data[start:id_ends[first]], "utf-8", "surrogatepass")
+            sizes = np.diff(pub_ends, prepend=0)
+            members = members[np.repeat(kept, sizes)]
+            pub_ends = np.cumsum(sizes[kept])
+            pubs, years = _subset(pubs, kept), years[kept]
+            # an author found only in a skipped record is not indexed
+            used = np.zeros(len(authors[1]), dtype=bool)
+            used[members] = True
+            authors = _subset(authors, used)
+            members = (np.cumsum(used, dtype=np.int32) - 1)[members]
+        firsts = _firsts(authors)
+        distinct = firsts == np.arange(len(firsts))
+        members = (np.cumsum(distinct, dtype=np.int32) - 1)[firsts][members]
+        authors = _subset(authors, distinct)
+        del kept, firsts, distinct
+
+        pub_offsets = np.concatenate(([0], pub_ends))
+        records = np.repeat(np.arange(len(years), dtype=np.int32), np.diff(pub_offsets))
+        author_members = records[_pairs(members) & _LOW]  # by author, then record
+        del records
+        counts = np.bincount(members, minlength=len(authors[1]))
         author_offsets = np.concatenate(([0], np.cumsum(counts)))
-        # exact ints: a year beyond int64 makes an object array, which reduceat handles too
-        try:
-            pub_years = np.array(years, dtype=np.int64)
-        except OverflowError:
-            pub_years = np.array(years, dtype=object)
-        # reduceat needs every row non-empty: each author has a publication
-        last_years = np.maximum.reduceat(pub_years[author_members], author_offsets[:-1])
+        # reduceat needs every row non-empty: each author has a publication.
+        # An object array of years (one beyond int64) works too.
+        last_years = np.maximum.reduceat(years[author_members], author_offsets[:-1])
 
-        self._pub_number, self._pub_ids = pub_number, list(pub_number)
-        self._author_number, self._author_ids = author_number, list(author_number)
+        self._pubs, self._authors = _Ids(pubs), _Ids(authors)
         # memoryviews index and slice to Python ints, not numpy scalars
-        self._pub_members, self._pub_offsets = memoryview(pub_members), memoryview(pub_offsets)
+        self._pub_members, self._pub_offsets = memoryview(members), memoryview(pub_offsets)
         self._author_members = memoryview(author_members)
         self._author_offsets = memoryview(author_offsets)
         # an object array of years has no buffer; it is the rare case
         self._last_years = (last_years.tolist() if last_years.dtype == object
                             else memoryview(last_years))
-        return duplicates, malformed
+        return duplicates, duplicate, malformed
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CorpusStore":
@@ -226,31 +360,27 @@ class CorpusStore:
         does not depend on their number.
         """
         store = cls.__new__(cls)
-        duplicates, store.malformed_skipped = store._index(
+        store.duplicates_skipped, _, store.malformed_skipped = store._index(
             read_ranges(path, _file_columns, os.cpu_count() or 1))
-        store.duplicates_skipped = len(duplicates)
         return store
 
     def _author(self, author_id: str) -> int:
-        try:
-            return self._author_number[author_id]
-        except KeyError:
-            raise UnknownAuthorError(f"unknown author {author_id!r}") from None
+        a = self._authors.number(author_id)
+        if a is None:
+            raise UnknownAuthorError(f"unknown author {author_id!r}")
+        return a
 
     def publications_of(self, author_id: str) -> list[str]:
         a = self._author(author_id)
         offsets = self._author_offsets
-        return list(map(self._pub_ids.__getitem__,
-                        self._author_members[offsets[a]:offsets[a + 1]]))
+        return self._pubs.decoded(self._author_members[offsets[a]:offsets[a + 1]])
 
     def authors_of(self, pub_id: str) -> list[str]:
-        try:
-            p = self._pub_number[pub_id]
-        except KeyError:
-            raise UnknownPublicationError(f"unknown publication {pub_id!r}") from None
+        p = self._pubs.number(pub_id)
+        if p is None:
+            raise UnknownPublicationError(f"unknown publication {pub_id!r}")
         offsets = self._pub_offsets
-        return list(map(self._author_ids.__getitem__,
-                        self._pub_members[offsets[p]:offsets[p + 1]]))
+        return self._authors.decoded(self._pub_members[offsets[p]:offsets[p + 1]])
 
     def profile(self, author_id: str) -> AuthorProfile:
         a = self._author(author_id)
@@ -258,10 +388,10 @@ class CorpusStore:
         return AuthorProfile(author_id, offsets[a + 1] - offsets[a], self._last_years[a])
 
     def author_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._author_ids))
+        return tuple(sorted(self._authors.decoded(range(len(self._authors)))))
 
     def publication_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._pub_ids))
+        return tuple(sorted(self._pubs.decoded(range(len(self._pubs)))))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import sys
 import tempfile
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -54,6 +56,11 @@ class TestStore:
     def test_duplicate_publication_id(self):
         with pytest.raises(ValueError, match="duplicate"):
             CorpusStore([coauthored("p1", ["A"]), coauthored("p1", ["B"])])
+
+    def test_duplicate_publication_id_names_the_first_repeat(self):
+        with pytest.raises(ValueError, match="'p2'"):
+            CorpusStore([coauthored("p1", ["A"]), coauthored("p2", ["B"]),
+                         coauthored("p2", ["C"]), coauthored("p1", ["D"])])
 
     def test_from_file_keeps_first_of_duplicate_ids(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -267,6 +274,71 @@ def test_store_counts_every_non_blank_line(tmp_path, monkeypatch):
     assert not writer.is_alive()
     assert builds == [builds[0]] * 4
     assert builds[0][2] == malformed and sum(builds[0]) == len(items)
+
+
+#: ids one last byte apart ("ab0", "ab1"; "é", "ê"), a 10,000-character id
+#: and ids holding a line break, a comma or a quote; one set is ASCII only
+UNUSUAL_IDS = {
+    "ascii": ["ab0", "ab1", "x" * 10_000, "line\nbreak", "comma,id", 'quote"id'],
+    "utf8": ["ab0", "é", "ê", "日本語", "😀", 'naïve, "quoted"\n'],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNUSUAL_IDS))
+def test_store_keeps_unusual_ids(kind, tmp_path):
+    """Such ids come back from every query as they went in. An absent near
+    miss, or an unpaired surrogate, which no UTF-8 spells, is an unknown id,
+    not a UnicodeEncodeError."""
+    ids = UNUSUAL_IDS[kind]
+    records = [coauthored(pub, [pub, ids[i - 1]], 2000 + i) for i, pub in enumerate(ids)]
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(records, corpus)
+    expected = store_answers(OracleStore(records))
+    assert expected["author_ids"] == tuple(sorted(ids))
+    for store in (CorpusStore(records), CorpusStore.from_file(corpus)):
+        assert store_answers(store) == expected
+        for absent in ("\ud800", "ab", "ab2", "e", "x" * 9_999, "日本"):
+            with pytest.raises(UnknownAuthorError):
+                store.publications_of(absent)
+            with pytest.raises(UnknownAuthorError):
+                store.profile(absent)
+            with pytest.raises(UnknownPublicationError):
+                store.authors_of(absent)
+
+
+@pytest.mark.parametrize("digest", [len, lambda data: 7], ids=["length", "constant"])
+def test_ids_whose_digests_collide_are_told_apart(digest, tmp_path, monkeypatch):
+    """Real ids seldom share a digest, so the byte comparison that tells
+    them apart is tried with digests under which many ids, or all of them,
+    collide. The patch comes before the pool forks its workers."""
+    monkeypatch.setattr(sys.modules[CorpusStore.__module__], "_digest", digest)
+    test_from_file_agrees_with_oracle()
+    test_store_read_agrees_across_ranges_and_workers(tmp_path, monkeypatch)
+    for kind in UNUSUAL_IDS:
+        (tmp_path / kind).mkdir()
+        test_store_keeps_unusual_ids(kind, tmp_path / kind)
+
+
+def test_store_holds_under_100_bytes_per_id(tmp_path, monkeypatch):
+    """The built store holds buffers, not a Python object per id: under
+    100 bytes per distinct publication or author id, by tracemalloc, on a
+    20,000-record co-authorship corpus read in this process."""
+    corpus = _bench_module("corpus")
+    path = tmp_path / "corpus.jsonl"
+    corpus.write_coauthor_corpus(path, 42, 20_000, corpus.Geography.load(DATA))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    CorpusStore.from_file(path)  # imports and caches, before the count starts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = CorpusStore.from_file(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ids = len(store.publication_ids()) + len(store.author_ids())
+    assert ids > 30_000
+    assert held / ids <= 100, f"{held / ids:.1f} bytes per id"
 
 
 def _bench_module(name: str):
