@@ -25,9 +25,9 @@ import argparse
 import codecs
 import csv
 import json
-import os
 import sys
 from collections import defaultdict
+from concurrent.futures import BrokenExecutor
 from functools import partial
 from itertools import chain, count, islice
 from pathlib import Path
@@ -86,12 +86,6 @@ def _load_table(continents: str | None, aliases: str | None) -> ContinentTable:
     return load_aliases(aliases, table) if aliases else table
 
 
-def _out_dir(args) -> Path:
-    path = Path(args.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     with writing(path) as sink:
         sink.writelines(line + "\n" for line in lines)
@@ -138,16 +132,14 @@ def _read_sequences(path: str) -> tuple[np.ndarray, list[ContinentSequence]]:
 def cmd_map(args) -> int:
     """Parse a corpus file, apply the exclusion rules, and write one
     canonical sequence per accepted record plus a report."""
-    # Built here, not in the workers: a pool whose workers fail to start
-    # respawns them forever.
+    # built here, not in the workers, so that a bad table fails before any output opens
     mapper = SequenceMapper(ExclusionPolicy(args.max_affils),
                             _load_table(args.continents, args.aliases))
-    out = _out_dir(args)
     report = IngestReport()
     warned = lines_before = 0
-    with writing(out / "sequences.txt") as sink:
+    with writing(args.output_dir / "sequences.txt") as sink:
         for sequences, part, notices, lines in read_ranges(
-                args.input, mapper.map_lines, args.threads or os.cpu_count() or 1):
+                args.input, mapper.map_lines, args.threads):
             sink.write(sequences)
             report = report.merge(part)
             for notice in notices:
@@ -159,7 +151,7 @@ def cmd_map(args) -> int:
     if report.rejected_malformed > warned:
         print(f"warning: {report.rejected_malformed - warned} more malformed lines",
               file=sys.stderr)
-    with writing(out / "ingest_report.json") as sink:
+    with writing(args.output_dir / "ingest_report.json") as sink:
         sink.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     print(f"accepted {report.accepted} of {report.total} records "
           f"({report.rejected_malformed} malformed, "
@@ -175,7 +167,7 @@ def cmd_rank(args) -> int:
     """Aggregate a sequences file into the rank,sequence,count,percent table."""
     codes, sequences = _read_sequences(args.input)
     table = RankTable.from_counts(dict(zip(sequences, np.bincount(codes).tolist())))
-    write_rank_file(table, _out_dir(args) / "rank.csv")
+    write_rank_file(table, args.output_dir / "rank.csv")
     top = table.entries[0]
     print(f"{len(table)} distinct sequences over {table.total_count} records; "
           f"rank 1 is {render_sequence(top.sequence)!r} at {100 * top.frequency:.2f}%")
@@ -199,7 +191,7 @@ def cmd_fit_zipf(args) -> int:
     table, fit = _fit_rank_file(args.input, args, args.fit_method)
     sensitivity = zipf_sensitivity(table, min_count=args.fit_min_count,
                                    method=args.fit_method)
-    with writing(_out_dir(args) / "zipf_fit.txt") as sink:
+    with writing(args.output_dir / "zipf_fit.txt") as sink:
         sink.write(format_fit_report(fit, sensitivity))
     print(f"zipf exponent {fit.exponent:.6f} +/- {fit.uncertainty:.6f} "
           f"(ranks {fit.fit_range[0]:g}..{fit.fit_range[1]:g}, "
@@ -217,9 +209,8 @@ def cmd_heap(args) -> int:
     curve = heap_curve(corpus, sample_sizes=sizes, repeats=args.heap_repeats,
                        seed=args.seed)
     fit = fit_heap(curve)  # before any write: a failed fit leaves the previous files
-    out = _out_dir(args)
-    write_heap_file(curve, out / "heap_curve.csv")
-    with writing(out / "heap_fit.txt") as sink:
+    write_heap_file(curve, args.output_dir / "heap_curve.csv")
+    with writing(args.output_dir / "heap_fit.txt") as sink:
         sink.write(format_fit_report(fit))
     print(f"heap exponent {fit.exponent:.6f} +/- {fit.uncertainty:.6f} "
           f"(N {fit.fit_range[0]:g}..{fit.fit_range[1]:g})")
@@ -233,11 +224,11 @@ def cmd_gen(args) -> int:
     """Write a synthetic corpus with a known Zipfian type distribution."""
     spec = SyntheticSpec(vocabulary_size=args.vocab, exponent=args.exponent,
                          corpus_size=args.size, seed=args.seed)
-    out = _out_dir(args)
-    print(f"seed {args.seed}")
-    with writing(out / "corpus.jsonl") as sink:
+    path = args.output_dir / "corpus.jsonl"
+    with writing(path) as sink:
+        print(f"seed {args.seed}")
         sink.writelines(corpus_lines(spec))
-    print(f"wrote {spec.corpus_size} records to {out / 'corpus.jsonl'}")
+    print(f"wrote {spec.corpus_size} records to {path}")
     return 0
 
 
@@ -262,12 +253,11 @@ def cmd_crawl(args) -> int:
     # by distance, then id: a stable sort of the ids in order
     by_distance = sorted(distances)
     by_distance.sort(key=distances.__getitem__)
-    out = _out_dir(args)
-    _write_csv(out / "crawl_distances.csv", chain(
+    _write_csv(args.output_dir / "crawl_distances.csv", chain(
         [("author_id", "distance")], ((author, distances[author]) for author in by_distance)))
-    _write_csv(out / "crawl_pruned.csv", chain(
+    _write_csv(args.output_dir / "crawl_pruned.csv", chain(
         [("author_id", "reason")], ((author, pruned[author].value) for author in sorted(pruned))))
-    _write_lines(out / "crawl_publications.txt", sorted(result.publication_ids))
+    _write_lines(args.output_dir / "crawl_publications.txt", sorted(result.publication_ids))
     print(f"visited {len(distances)} authors ({len(distances) - len(pruned)} expanded, "
           f"{len(pruned)} pruned); collected {len(result.publication_ids)} publications")
     return 0
@@ -300,9 +290,8 @@ def cmd_plotdata(args) -> int:
         fit = fit_heap(curve)
         plots.append(("heap", [p.n for p in curve.points],
                       [p.v_mean for p in curve.points], fit, fit.exponent))
-    out = _out_dir(args)
     for plot in plots:
-        _write_plot(out, *plot)
+        _write_plot(args.output_dir, *plot)
     return 0
 
 
@@ -318,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         if input_help:
             p.add_argument("--input", required=True, help=input_help)
-        p.add_argument("--output-dir", required=True)
+        p.add_argument("--output-dir", type=Path, required=True)
         p.set_defaults(func=func)
         return p
 
@@ -379,15 +368,9 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except EmptyInputError as exc:
+    except (ContseqError, OSError, ValueError, BrokenExecutor) as exc:  # or a worker died
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ContseqError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return {EmptyInputError: 2, InsufficientDataError: 3}.get(type(exc), 1)
 
 
 if __name__ == "__main__":

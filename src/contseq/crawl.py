@@ -12,7 +12,6 @@ crawl does not continue through them. The seed itself is always expanded.
 from __future__ import annotations
 
 import enum
-import os
 import zlib
 from array import array
 from bisect import bisect_left
@@ -316,16 +315,13 @@ class CorpusStore:
             members = members[np.repeat(kept, sizes)]
             pub_ends = np.cumsum(sizes[kept])
             pubs, years = _subset(pubs, kept), years[kept]
-            # an author found only in a skipped record is not indexed
-            used = np.zeros(len(authors[1]), dtype=bool)
-            used[members] = True
-            authors = _subset(authors, used)
-            members = (np.cumsum(used, dtype=np.int32) - 1)[members]
-        firsts = _firsts(authors)
-        distinct = firsts == np.arange(len(firsts))
-        members = (np.cumsum(distinct, dtype=np.int32) - 1)[firsts][members]
-        authors = _subset(authors, distinct)
-        del kept, firsts, distinct
+        # merge byte-equal authors, and drop those that only skipped records list
+        members = _firsts(authors)[members]
+        used = np.zeros(len(authors[1]), dtype=bool)
+        used[members] = True
+        members = (np.cumsum(used, dtype=np.int32) - 1)[members]
+        authors = _subset(authors, used)
+        del kept, used
 
         pub_offsets = np.concatenate(([0], pub_ends))
         records = np.repeat(np.arange(len(years), dtype=np.int32), np.diff(pub_offsets))
@@ -361,7 +357,7 @@ class CorpusStore:
         """
         store = cls.__new__(cls)
         store.duplicates_skipped, _, store.malformed_skipped = store._index(
-            read_ranges(path, _file_columns, os.cpu_count() or 1))
+            read_ranges(path, _file_columns))
         return store
 
     def _author(self, author_id: str) -> int:

@@ -2,10 +2,10 @@
 reader, one writer, and the row-located message their errors share.
 
 Readers take a path, an open handle, or any iterable of lines. Writers take
-a path or an open handle; a path is replaced atomically, so a command that
-fails or is killed leaves the previous file, or none, in place (a killed
-one may leave its hidden ``.<name>.<pid>.tmp`` behind). Pass a handle to
-write to a stream or a device.
+a path or an open handle; a path gets its missing directories as it is opened
+and is replaced atomically, so a command that fails or is killed leaves the
+previous file, or none, in place (a killed one may leave its hidden
+``.<name>.<pid>.tmp`` behind). Pass a handle to write to a stream or a device.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import os
+import pickle
+from collections import deque
+from concurrent import futures  # futures.process, and most of multiprocessing, load on use
 from contextlib import contextmanager
 from functools import partial
-from multiprocessing import Pool
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TextIO, TypeVar, Union
 
@@ -125,46 +127,62 @@ def _start_worker(work: Callable) -> None:
     _work = work
 
 
-def _read_range(path: str, span: tuple[int, int]):
-    """A pool worker's task: ``_work`` over the lines of one byte range."""
+def _read_range(path: str, span: tuple[int, int]) -> bytes:
+    """A pool worker's task: ``_work`` over the lines of one byte range, pickled."""
     start, stop = span
     with open(path, "rb") as handle:
         handle.seek(start)
-        return _work(io.BytesIO(handle.read(stop - start)))
+        return pickle.dumps(_work(io.BytesIO(handle.read(stop - start))), pickle.HIGHEST_PROTOCOL)
 
 
 def read_ranges(path: str | Path, work: Callable[[Iterable[bytes]], T],
-                workers: int) -> Iterator[T]:
+                workers: int | None = None) -> Iterator[T]:
     """``work`` over the byte lines of a file, once per range of about
     ``_RANGE_BYTES``, its results in file order.
 
-    With more than one worker and a seekable file of more than one range, a
-    pool of up to ``workers`` processes runs ``work``; each worker gets
-    ``work`` once, keeps it across its ranges, and reads its own ranges of
-    the file. Otherwise (one worker, one range, or a pipe) the file is read
-    in this process, in chunks of whole lines. Either way ``work`` sees each
-    line once."""
+    With more than one worker (default: ``os.cpu_count()``) and a seekable
+    file of more than one range, a pool of up to ``workers`` processes runs
+    ``work``, given at most one range more than it has workers ahead of the
+    caller; each worker keeps ``work`` across its ranges and reads them from
+    the file itself, and one that dies raises ``BrokenProcessPool`` here.
+    Otherwise (one worker, one range, or a pipe) the file is read in this
+    process, in chunks of whole lines. Either way ``work`` sees each line once.
+
+    A worker's result is unpickled in the caller's thread: memory that a
+    pool thread allocates stays in that thread's malloc arena once freed,
+    where the caller cannot reuse it."""
+    workers = workers or os.cpu_count() or 1
     with open(path, "rb") as source:
         spans = _spans(source) if workers > 1 and source.seekable() else []
-        if len(spans) > 1:
-            with Pool(min(workers, len(spans)), _start_worker, (work,)) as pool:
-                yield from pool.imap(partial(_read_range, str(path)), spans)
-        else:
+        if len(spans) <= 1:
             yield from map(work, iter(partial(source.readlines, _RANGE_BYTES), []))
+            return
+    workers = min(workers, len(spans))
+    pool = futures.ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(work,))
+    ahead = deque()
+    try:
+        for span in spans:
+            ahead.append(pool.submit(_read_range, str(path), span))
+            if len(ahead) > workers:
+                yield pickle.loads(ahead.popleft().result())
+        yield from (pickle.loads(future.result()) for future in ahead)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @contextmanager
 def writing(sink: Sink) -> Iterator[TextIO]:
     """A UTF-8 text handle with Unix line endings for ``sink``.
 
-    A path is written through a temporary file in its directory, which
-    replaces it once the block ends without an exception and is removed
-    otherwise. An open handle is used as it is.
+    A path is written through a temporary file in its directory (made if
+    missing), which replaces it once the block ends without an exception
+    and is removed otherwise. An open handle is used as it is.
     """
     if not isinstance(sink, (str, Path)):
         yield sink
         return
     path = Path(sink)
+    path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8", newline="\n") as handle:

@@ -1,8 +1,8 @@
 """Core domain types: continents, territory tables, publications, and
 continent sequences.
 
-All types here are immutable values; they can be shared freely between
-worker processes or threads.
+Every value here answers the same once built (a table only caches what it
+resolves), so it can be shared between worker processes or threads.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ _MISS = object()
 
 
 class ContinentTable:
-    """Immutable lookup from territory labels to continents.
+    """Lookup from territory labels to continents; its answers never change once built.
 
     ``entries`` maps each canonical territory label (as spelled in the source
     table) to its continent. ``aliases`` optionally redirects alternative

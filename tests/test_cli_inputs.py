@@ -283,20 +283,25 @@ def test_heap_file_of_one_sample_size_is_insufficient_data(rows, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    ([*RANK, "{target}"], "{target}: row 2: cannot parse sequence part 'garbage'"),
-    (["crawl", "--seed-author", "ghost", "--input", "{corpus}"], "unknown author 'ghost'"),
-], ids=["rank-bad-row", "crawl-unknown-seed"])
-def test_failed_command_leaves_no_output_directory(argv, message, tmp_path, capsys):
+@pytest.mark.parametrize("argv, code, message", [
+    ([*RANK, "{target}"], 1, "{target}: row 2: cannot parse sequence part 'garbage'"),
+    ([*FIT, "{ranks}"], 3, "need >= 3 usable ranks, have 0 (min_count=10, range=None:None)"),
+    ([*HEAP, "{blank}"], 2, "no sequences in input"),
+    ([*HEAP, "{one}"], 3, "need >= 3 curve points, have 1"),
+    ([*PLOT_RANK, "{ranks}"], 3, "need >= 3 usable ranks, have 0 (min_count=10, range=None:None)"),
+    (["crawl", "--seed-author", "ghost", "--input", "{corpus}"], 1, "unknown author 'ghost'"),
+], ids=["rank-bad-row", "fit-zipf-few-ranks", "heap-no-sequences", "heap-one-sequence",
+        "plotdata-few-ranks", "crawl-unknown-seed"])
+def test_failed_command_leaves_no_output_directory(argv, code, message, tmp_path, capsys):
     """A command that fails on its input, even after reading all of it,
-    makes no output directory."""
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_bytes(GOOD_RECORD)
-    target = tmp_path / "sequences.txt"
-    target.write_bytes(b"Asia (1)\ngarbage\n")
-    paths = {"corpus": corpus, "target": target}
+    makes no output directory: each makes it as it opens its first output."""
+    paths = {"corpus": GOOD_RECORD, "target": b"Asia (1)\ngarbage\n", "blank": b"\n \n",
+             "one": b"Asia (1)\n", "ranks": RANK_HEADER + b"1,Asia (1),5,100.0\n"}
+    for name, data in paths.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(data)
     out = tmp_path / "out"
-    assert main([*(a.format(**paths) for a in argv), "--output-dir", str(out)]) == 1
+    assert main([*(a.format(**paths) for a in argv), "--output-dir", str(out)]) == code
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert not out.exists()
 

@@ -206,13 +206,13 @@ def test_store_read_agrees_across_ranges_and_workers(tmp_path, monkeypatch):
     assert len(ranges_of("q1")) == 2 and len(set(ranges_of("q1"))) == 1
     assert len(set(ranges_of("p1"))) == 2
 
-    pools, real_pool = [], files.Pool
+    pools, real_pool = [], files.futures.ProcessPoolExecutor
 
-    def pool(processes, *args):
+    def pool(processes, **kwargs):
         pools.append(processes)
-        return real_pool(processes, *args)
+        return real_pool(processes, **kwargs)
 
-    monkeypatch.setattr(files, "Pool", pool)
+    monkeypatch.setattr(files.futures, "ProcessPoolExecutor", pool)
     builds = []
     for cores in (1, 2, 3):
         monkeypatch.setattr(os, "cpu_count", lambda n=cores: n)
@@ -240,7 +240,8 @@ def test_store_reads_a_fifo_in_process(tmp_path, monkeypatch):
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
-    monkeypatch.setattr(files, "Pool", None)  # a pipe is read in this process
+    # a pipe is read in this process
+    monkeypatch.setattr(files.futures, "ProcessPoolExecutor", None)
     assert store_answers(CorpusStore.from_file(fifo)) == expected
     writer.join(timeout=60)
     assert not writer.is_alive()

@@ -131,6 +131,17 @@ class TestWriting:
         assert (path.read_bytes() if path.exists() else None) == previous
         assert len(list(tmp_path.iterdir())) == (previous is not None)
 
+    def test_makes_a_missing_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        with pytest.raises(RuntimeError):
+            with writing(path) as sink:
+                sink.write("partial\n")
+                raise RuntimeError("boom")
+        assert list(path.parent.iterdir()) == []  # no temporary file is left
+        with writing(path) as sink:
+            sink.write("new\n")
+        assert path.read_bytes() == b"new\n"
+
     def test_unix_line_endings_and_utf8(self, tmp_path):
         path = tmp_path / "out.txt"
         with writing(path) as sink:

@@ -1,10 +1,14 @@
 """``map`` over byte ranges: outputs that do not depend on where the ranges
 fall or on how many workers read them, file line numbers in warnings, and
-the input mapped in this process: one that cannot seek, or any at one thread."""
+the input mapped in this process: one that cannot seek, or any at one thread;
+and a range worker that dies, which fails ``map`` and ``crawl`` at once."""
 
+import importlib
 import json
+import multiprocessing
 import os
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -102,16 +106,16 @@ def test_workers_are_capped_by_ranges(tmp_path, monkeypatch, capsys):
     corpus.write_bytes(b"".join(record_line(f"p{i}", ["Poland"]) + b"\n" for i in range(4)))
     sizes, spanned = [], []
 
-    def pool(processes, *args):
+    def pool(processes, **kwargs):
         sizes.append(processes)
-        return real_pool(processes, *args)
+        return real_pool(processes, **kwargs)
 
     def spans(handle):
         spanned.append(handle)
         return real_spans(handle)
 
-    real_pool, real_spans = files.Pool, files._spans
-    monkeypatch.setattr(files, "Pool", pool)
+    real_pool, real_spans = files.futures.ProcessPoolExecutor, files._spans
+    monkeypatch.setattr(files.futures, "ProcessPoolExecutor", pool)
     with open(corpus, "rb") as handle:
         ranges = len(files._spans(handle))
     assert 1 < ranges < 8
@@ -134,14 +138,15 @@ def test_fifo_input_is_streamed(tmp_path, monkeypatch, capsys):
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
-    real_pool, map_lines, chunks = files.Pool, cli.SequenceMapper.map_lines, []
+    real_pool, chunks = files.futures.ProcessPoolExecutor, []
+    map_lines = cli.SequenceMapper.map_lines
 
     def chunked(mapper, lines):
         chunks.append(sum(map(len, lines)))
         return map_lines(mapper, lines)
 
     # a pipe, and a file at one thread, are mapped in this process
-    monkeypatch.setattr(files, "Pool", None)
+    monkeypatch.setattr(files.futures, "ProcessPoolExecutor", None)
     monkeypatch.setattr(cli.SequenceMapper, "map_lines", chunked)
     longest = max(map(len, data.splitlines(keepends=True)))
     streamed = []
@@ -152,6 +157,67 @@ def test_fifo_input_is_streamed(tmp_path, monkeypatch, capsys):
         assert len(chunks) > 6 and sum(chunks) == len(data) and max(chunks) < RANGE + longest
     writer.join(timeout=60)
     assert not writer.is_alive()
-    monkeypatch.setattr(files, "Pool", real_pool)
+    monkeypatch.setattr(files.futures, "ProcessPoolExecutor", real_pool)
     monkeypatch.setattr(cli.SequenceMapper, "map_lines", map_lines)
     assert streamed[0] == streamed[1] == run_map(regular, tmp_path / "file", 2, capsys)
+
+
+def _die(*args):
+    """Range work that kills its worker, as a signal or the kernel's
+    out-of-memory killer would."""
+    os._exit(3)
+
+
+def _die_on_p20(lines):
+    data = b"".join(lines)
+    if b'"id": "p20"' in data:
+        _die()
+    return len(data)
+
+
+def within(seconds: float, call):
+    """``call()``'s result, or its exception raised here; fails if it takes
+    longer than ``seconds``."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, call()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert outcome, f"still running after {seconds} s"
+    (returned, value), = outcome
+    if not returned:
+        raise value
+    return value
+
+
+def test_a_dead_worker_raises_and_leaves_no_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "_RANGE_BYTES", RANGE)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(corpus_bytes()[0])
+    with pytest.raises(BrokenProcessPool):
+        within(60, lambda: list(files.read_ranges(corpus, _die_on_p20, 2)))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [["map", "--threads", "2"], ["crawl", "--seed-author", "p1-a0"]],
+                         ids=["map", "crawl"])
+def test_a_dead_worker_fails_the_command_in_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(files, "_RANGE_BYTES", RANGE)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.SequenceMapper, "map_lines", _die)
+    # the module, which the package's crawl function shadows
+    monkeypatch.setattr(importlib.import_module("contseq.crawl"), "_file_columns", _die)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(corpus_bytes()[0])
+    out = tmp_path / "out"
+    assert within(60, lambda: main([*argv, "--input", str(corpus), "--output-dir", str(out)])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert multiprocessing.active_children() == []
+    assert not out.exists() or list(out.iterdir()) == []  # map's directory, and no file
