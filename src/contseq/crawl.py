@@ -102,6 +102,7 @@ Columns = tuple[Blob, np.ndarray, np.ndarray, np.ndarray, Blob, int]
 _digest = zlib.crc32
 _CHUNK = 1 << 16  # pairs of ids that _same compares at once
 _LOW = 0xFFFFFFFF
+_NO_ANSWER = ((), ())
 
 
 def _numbering() -> defaultdict:
@@ -268,7 +269,9 @@ class CorpusStore:
     compressed sparse rows: ``int32`` members under ``int64`` offsets. The
     index costs the cyclic garbage collector nothing. An author listed twice
     in one record counts once. An id query answers with a list of one row's
-    ids, each id once; a profile is built on demand.
+    ids, each id once; a profile is built on demand. :meth:`authors_of`
+    skips the lookup for an id object that the last :meth:`publications_of`
+    answer listed, asked for in that answer's order.
 
     Range workers return each range's ids as blobs, and the build merges
     them with numpy alone: equal digests next to each other under a stable
@@ -282,6 +285,8 @@ class CorpusStore:
 
     duplicates_skipped = 0  # records from_file skipped for a repeated publication id
     malformed_skipped = 0  # malformed lines from_file skipped
+    # the last publications_of answer and its numbers, until authors_of passes it
+    _answer, _cursor = _NO_ANSWER, 0
 
     def __init__(self, records: Iterable[PublicationRecord]):
         _, duplicate, _ = self._index([_columns(
@@ -369,14 +374,39 @@ class CorpusStore:
     def publications_of(self, author_id: str) -> list[str]:
         a = self._author(author_id)
         offsets = self._author_offsets
-        return self._pubs.decoded(self._author_members[offsets[a]:offsets[a + 1]])
+        numbers = self._author_members[offsets[a]:offsets[a + 1]]
+        ids = self._pubs.decoded(numbers)
+        # a copy: the caller may reorder the list it gets
+        self._answer, self._cursor = (tuple(ids), numbers), 0
+        return ids
 
     def authors_of(self, pub_id: str) -> list[str]:
-        p = self._pubs.number(pub_id)
+        p = self._answered(pub_id)
         if p is None:
-            raise UnknownPublicationError(f"unknown publication {pub_id!r}")
+            p = self._pubs.number(pub_id)
+            if p is None:
+                raise UnknownPublicationError(f"unknown publication {pub_id!r}")
         offsets = self._pub_offsets
         return self._authors.decoded(self._pub_members[offsets[p]:offsets[p + 1]])
+
+    def _answered(self, pub_id: str) -> int | None:
+        """The number of ``pub_id`` if the last :meth:`publications_of`
+        answer lists this very object at or after the cursor, else None.
+
+        A crawl asks for the authors of an answer's publications in the
+        order it got them, so the walk from the cursor is short and the
+        lookup is skipped. A miss, or a match at the end, drops the answer,
+        so a caller that asks in any other order pays one walk per answer."""
+        (ids, numbers), start = self._answer, self._cursor
+        for at in range(start, len(ids)):
+            if ids[at] is pub_id:
+                if at + 1 < len(ids):
+                    self._cursor = at + 1
+                else:
+                    self._answer = _NO_ANSWER
+                return numbers[at]
+        self._answer = _NO_ANSWER
+        return None
 
     def profile(self, author_id: str) -> AuthorProfile:
         a = self._author(author_id)

@@ -40,6 +40,8 @@ from .model import (Affiliation, AuthorRecord, ContinentSequence, ContinentTable
 SCHEMA_VERSION = 1
 MAX_NOTICES = 5  # malformed-line notices SequenceMapper.map_lines returns per call
 _MEMO_SIZE = 1 << 16  # label sets a SequenceMapper remembers
+_scan = json.JSONDecoder().scan_once  # json.loads's own scanner, without its wrappers
+_JSON_SPACE = " \t\n\r"  # the whitespace json allows around a value; str.isspace() allows more
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +113,14 @@ def _decode_line(line: str | bytes) -> (tuple[str, int, list[str], frozenset, in
     collects the rest: ``author_ids`` in order, the set of country ``labels``
     (None for a blank or absent one), the ``most`` affiliations any author
     lists, and ``authors``, the line's own list of author objects, in which a
-    blank ``country`` is set to None. A str is read as its UTF-8 bytes."""
+    blank ``country`` is set to None. A str is read as its UTF-8 bytes.
+
+    The text is decoded by ``_scan``, the scanner of a default
+    :class:`json.JSONDecoder`, from its first character. Its object is kept
+    when only JSON whitespace follows it; any other line (one that fails,
+    one with trailing data, leading whitespace or a byte-order mark) is
+    decoded again by :func:`json.loads`, so it gets that function's result,
+    and its exception and message, on whatever Python runs it."""
     if isinstance(line, str):
         try:
             line = line.encode("utf-8")
@@ -119,7 +128,12 @@ def _decode_line(line: str | bytes) -> (tuple[str, int, list[str], frozenset, in
             return f"invalid Unicode: unpaired surrogate at character {exc.start}"
     try:
         text = line.decode("utf-8")
-        obj = json.loads(text)
+        try:  # StopIteration too: let out, it would end a map() over the lines early
+            obj, end = _scan(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = None
+        if end is None or text[end:].strip(_JSON_SPACE):
+            obj = json.loads(text)  # not taken whole by the scanner: json.loads decides
         # decoded UTF-8 holds no surrogate, but a \ud800-\udfff escape can spell one
         if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")

@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import contseq.files as files
 from contseq.cli import main
 from contseq.crawl import (AuthorProfile, CorpusStore, CrawlPolicy,
-                           PruneReason, crawl, prune_reason)
+                           PruneReason, _Ids, crawl, prune_reason)
 from contseq.errors import ContseqError, UnknownAuthorError, UnknownPublicationError
 from contseq.ingest import MalformedRecord, parse_corpus, write_corpus
+from contseq.syngen import SyntheticSpec, iter_corpus
 from helpers import OracleStore, coauthored, oracle_crawl, random_policy, random_store
 from test_map_ranges import RANGE, corpus_bytes
 
@@ -340,6 +341,58 @@ def test_store_holds_under_100_bytes_per_id(tmp_path, monkeypatch):
     ids = len(store.publication_ids()) + len(store.author_ids())
     assert ids > 30_000
     assert held / ids <= 100, f"{held / ids:.1f} bytes per id"
+
+
+def test_gen_crawl_looks_up_no_publication(tmp_path, monkeypatch):
+    """A crawl asks for the authors of each answer's publications in the
+    answer's order, so the store finds each one in that answer and never
+    looks a publication id up."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(iter_corpus(SyntheticSpec(50, 1.9, 2000, seed=3)), corpus)
+    store = CorpusStore.from_file(corpus)
+    lookups, asked, number = Counter(), Counter(), _Ids.number
+    monkeypatch.setattr(_Ids, "number", lambda ids, id_: lookups.update(
+        ["pub" if ids is store._pubs else "author"]) or number(ids, id_))
+    authors_of = store.authors_of
+    monkeypatch.setattr(store, "authors_of", lambda pub: asked.update([pub]) or authors_of(pub))
+    result = crawl(store, "s00001-a01", OPEN)
+    monkeypatch.undo()
+    assert len(asked) > 500 and lookups["author"] > 0 and lookups["pub"] == 0
+    oracle = OracleStore(item for item in parse_corpus(corpus))
+    assert result == oracle_crawl(oracle, "s00001-a01", OPEN)
+
+
+def test_authors_of_after_an_answer_agrees_with_oracle():
+    """After a publications_of answer, authors_of answers right for an id
+    equal to a listed one but not the same object, for ids asked out of
+    order, after the caller reorders the answer in place, and raises for an
+    unknown id."""
+    rng = random.Random(8)
+    for _ in range(20):
+        names = [f"a{i:02d}" for i in range(rng.randint(2, 12))]
+        records = [coauthored(f"p{p:02d}", rng.sample(names, rng.randint(1, min(4, len(names)))))
+                   for p in range(rng.randint(1, 40))]
+        store, oracle = CorpusStore(records), OracleStore(records)
+
+        def check(pubs):
+            for pub in pubs:
+                assert _ids(store.authors_of(pub)) == oracle.authors_of(pub)
+
+        for author in oracle.author_ids():
+            answer = store.publications_of(author)
+            copies = ["".join(pub) for pub in answer]
+            assert all(c is not pub for c, pub in zip(copies, answer) if len(pub) > 1)
+            check(copies)
+            answer = store.publications_of(author)
+            check(answer[::-1])
+            answer = store.publications_of(author)
+            rng.shuffle(answer)  # the store's own list, reordered
+            check(answer)
+            answer = store.publications_of(author)
+            check(answer[:1])
+            with pytest.raises(UnknownPublicationError):
+                store.authors_of("nope")
+            check(answer)
 
 
 def _bench_module(name: str):
