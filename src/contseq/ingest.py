@@ -28,6 +28,7 @@ import enum
 import json
 import re
 from dataclasses import asdict, astuple, dataclass
+from itertools import accumulate
 from operator import add
 from typing import Iterable, Iterator
 
@@ -42,6 +43,11 @@ MAX_NOTICES = 5  # malformed-line notices SequenceMapper.map_lines returns per c
 _MEMO_SIZE = 1 << 16  # label sets a SequenceMapper remembers
 _scan = json.JSONDecoder().scan_once  # json.loads's own scanner, without its wrappers
 _JSON_SPACE = " \t\n\r"  # the whitespace json allows around a value; str.isspace() allows more
+#: Deepest nesting of arrays and objects a corpus line may hold (a record needs 5). Far below
+#: the recursion limit, so a line decodes alike however deep in the stack its caller sits.
+MAX_DEPTH = 500
+_STRING = re.compile(rb'"(?:[^"\\]+|\\.)*"?', re.S)  # a JSON string, or an unterminated rest
+_NOT_BRACKET = re.compile(rb"[^][{}]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +111,12 @@ class IngestReport:
         return {**asdict(self), "total": self.total}
 
 
+def _depth(line: bytes) -> int:
+    """How deep the arrays and objects of a JSON line nest, outside its strings."""
+    brackets = _NOT_BRACKET.sub(b"", _STRING.sub(b"", line))
+    return max(accumulate(1 if c in b"[{" else -1 for c in brackets), default=0)
+
+
 def _decode_line(line: str | bytes) -> (tuple[str, int, list[str], frozenset, int, list]
                                         | str | None):
     """A corpus line's ``(pub_id, year, author_ids, labels, most, authors)``
@@ -120,7 +132,9 @@ def _decode_line(line: str | bytes) -> (tuple[str, int, list[str], frozenset, in
     when only JSON whitespace follows it; any other line (one that fails,
     one with trailing data, leading whitespace or a byte-order mark) is
     decoded again by :func:`json.loads`, so it gets that function's result,
-    and its exception and message, on whatever Python runs it."""
+    and its exception and message, on whatever Python runs it. Before
+    either, a line that nests deeper than :data:`MAX_DEPTH` is malformed;
+    only a line with more ``[`` and ``{`` than that is scanned for depth."""
     if isinstance(line, str):
         try:
             line = line.encode("utf-8")
@@ -128,6 +142,9 @@ def _decode_line(line: str | bytes) -> (tuple[str, int, list[str], frozenset, in
             return f"invalid Unicode: unpaired surrogate at character {exc.start}"
     try:
         text = line.decode("utf-8")
+        if (len(line) > MAX_DEPTH and line.count(b"[") + line.count(b"{") > MAX_DEPTH
+                and _depth(line) > MAX_DEPTH):
+            return f"JSON nested deeper than {MAX_DEPTH} levels"
         try:  # StopIteration too: let out, it would end a map() over the lines early
             obj, end = _scan(text, 0)
         except (StopIteration, ValueError, RecursionError):

@@ -152,60 +152,64 @@ def fit_zipf(table: RankTable, *, min_count: int = 10,
     :class:`~contseq.errors.InsufficientDataError` with fewer than three
     usable points.
     """
+    counts = np.array([e.count for e in table.entries], dtype=np.float64)
+    return _fit_counts(counts, min_count, min_rank, max_rank, method)
+
+
+def _fit_counts(counts: np.ndarray, min_count: int, min_rank: int | None,
+                max_rank: int | None, method: str) -> FitResult:
+    """:func:`fit_zipf` on a table's counts in rank order, rank 1 first."""
+    ranks = np.arange(1, len(counts) + 1, dtype=np.float64)
     lo = 1 if min_rank is None else min_rank
-    hi = len(table.entries) if max_rank is None else max_rank
-    selected = [e for e in table.entries if e.count >= min_count and lo <= e.rank <= hi]
-    if len(selected) < 3:
-        raise InsufficientDataError(
-            f"need >= 3 usable ranks, have {len(selected)} "
-            f"(min_count={min_count}, range={min_rank}:{max_rank})")
-    ranks = np.array([e.rank for e in selected], dtype=np.float64)
-    freqs = np.array([e.frequency for e in selected], dtype=np.float64)
+    hi = len(counts) if max_rank is None else max_rank
+    keep = (counts >= min_count) & (lo <= ranks) & (ranks <= hi)
+    if (n_points := int(np.count_nonzero(keep))) < 3:
+        raise InsufficientDataError(f"need >= 3 usable ranks, have {n_points} "
+                                    f"(min_count={min_count}, range={min_rank}:{max_rank})")
+    selected, ranks = counts[keep], ranks[keep]
     used_range = (int(ranks[0]), int(ranks[-1]))
     if method == "ols":
-        slope, stderr, intercept, r_squared = _ols_loglog(ranks, freqs)
-        return FitResult(-slope, stderr, intercept, used_range, r_squared,
-                         len(selected), "ols")
+        slope, stderr, intercept, r_squared = _ols_loglog(ranks, selected / counts.sum())
+        return FitResult(-slope, stderr, intercept, used_range, r_squared, n_points, "ols")
     if method == "mle":
-        return _fit_zipf_mle(selected, used_range)
+        return _fit_zipf_mle(ranks, selected, used_range)
     raise ValueError(f"unknown fit method {method!r}")
 
 
-def _fit_zipf_mle(selected: list[RankEntry], used_range) -> FitResult:
+def _fit_zipf_mle(ranks: np.ndarray, counts: np.ndarray, used_range) -> FitResult:
     """Discrete power-law MLE over the selected ranks: P(R) proportional to
     R**-a on the selected ranks, fitted to their counts.
 
     The negative log-likelihood's slope in ``a``, the data's mean of log R
     minus the law's, only grows with ``a``, so its root is bisected over
-    [0.05, 20]. The uncertainty is the observed Fisher information in closed
-    form: 1/sqrt(n * Var_P[log R]) at the root."""
-    ranks = np.array([e.rank for e in selected], dtype=np.float64)
-    counts = np.array([e.count for e in selected], dtype=np.float64)
+    [0.05, 20]; a root outside is InsufficientDataError. The uncertainty is
+    the observed Fisher information, 1/sqrt(n * Var_P[log R]) at the root."""
     n = counts.sum()
     log_ranks = np.log(ranks)
     mean_log = float((counts * log_ranks).sum() / n)
 
-    lo, hi = 0.05, 20.0
+    lo, hi = bounds = 0.05, 20.0
     while lo < (a_hat := (lo + hi) / 2) < hi:
         weights = ranks ** (-a_hat)
         if mean_log * weights.sum() < weights @ log_ranks:  # the slope is negative
             lo = a_hat
         else:
             hi = a_hat
+    if lo == bounds[0] or hi == bounds[1]:  # the slope kept one sign over the interval
+        raise InsufficientDataError("no likelihood maximum for an exponent in [0.05, 20]")
     weights = ranks ** (-a_hat)
     p = weights / weights.sum()
     variance = float(p @ (log_ranks - p @ log_ranks) ** 2)
     uncertainty = 1.0 / math.sqrt(n * variance) if variance > 0 else float("inf")
     # diagnostics relative to the fitted discrete law, on log-log axes
     constant = 1.0 / float(weights.sum())
-    freqs = counts / n
     predicted = np.log10(constant) - a_hat * np.log10(ranks)
-    observed = np.log10(freqs)
+    observed = np.log10(counts / n)
     ss_res = float(((observed - predicted) ** 2).sum())
     ss_tot = float(((observed - observed.mean()) ** 2).sum())
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return FitResult(a_hat, uncertainty, math.log10(constant), used_range,
-                     r_squared, len(selected), "mle")
+                     r_squared, len(ranks), "mle")
 
 
 #: Rank-window battery swept by :func:`zipf_sensitivity`.
@@ -222,13 +226,11 @@ def zipf_sensitivity(table: RankTable, *, min_count: int = 10,
     """
     results: list[FitResult] = []
     seen: set[tuple[float, float]] = set()
+    counts = np.array([e.count for e in table.entries], dtype=np.float64)
     for start in SENSITIVITY_STARTS:
         for end in SENSITIVITY_ENDS:
-            if end is not None and end - start + 1 < 3:
-                continue
             try:
-                fit = fit_zipf(table, min_count=min_count, min_rank=start,
-                               max_rank=end, method=method)
+                fit = _fit_counts(counts, min_count, start, end, method)
             except InsufficientDataError:
                 continue
             if fit.fit_range in seen:

@@ -1,18 +1,24 @@
 """Shared test builders: compact record construction, random co-authorship
 stores, and independent reference implementations of country resolution,
-of the publication store and of the bounded crawl."""
+of the publication store, of the bounded crawl and of the Zipf fits'
+window selection."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 
+import numpy as np
+
 from contseq.crawl import AuthorProfile, CorpusStore, CrawlPolicy, CrawlResult, PruneReason
-from contseq.errors import (ContractViolationError, UnknownAuthorError,
-                            UnknownPublicationError)
+from contseq.errors import (ContractViolationError, InsufficientDataError,
+                            UnknownAuthorError, UnknownPublicationError)
 from contseq.mapping import parse_sequence
 from contseq.model import (Affiliation, AuthorRecord, ContinentTable,
                            PublicationRecord)
+from contseq.stats import (SENSITIVITY_ENDS, SENSITIVITY_STARTS, FitResult, RankEntry,
+                           RankTable, _ols_loglog)
 
 
 def record(pub_id: str, countries_per_author, year: int = 2020) -> PublicationRecord:
@@ -194,3 +200,78 @@ def oracle_crawl(store, seed: str, policy: CrawlPolicy) -> CrawlResult:
         if policy.collect_pruned_publications:
             publications.update(store.publications_of(author))
     return CrawlResult(seed, distances, publications, pruned)
+
+
+def reference_fit_zipf(table: RankTable, *, min_count: int = 10, min_rank: int | None = None,
+                       max_rank: int | None = None, method: str = "ols") -> FitResult:
+    """Reference :func:`~contseq.stats.fit_zipf`: it walks the table's
+    entries to select the window and fits their ranks and stored
+    frequencies; its MLE rebuilds its arrays from the selected entries."""
+    lo = 1 if min_rank is None else min_rank
+    hi = len(table.entries) if max_rank is None else max_rank
+    selected = [e for e in table.entries if e.count >= min_count and lo <= e.rank <= hi]
+    if len(selected) < 3:
+        raise InsufficientDataError(
+            f"need >= 3 usable ranks, have {len(selected)} "
+            f"(min_count={min_count}, range={min_rank}:{max_rank})")
+    ranks = np.array([e.rank for e in selected], dtype=np.float64)
+    freqs = np.array([e.frequency for e in selected], dtype=np.float64)
+    used_range = (int(ranks[0]), int(ranks[-1]))
+    if method == "ols":
+        slope, stderr, intercept, r_squared = _ols_loglog(ranks, freqs)
+        return FitResult(-slope, stderr, intercept, used_range, r_squared,
+                         len(selected), "ols")
+    if method == "mle":
+        return _reference_mle(selected, used_range)
+    raise ValueError(f"unknown fit method {method!r}")
+
+
+def _reference_mle(selected: list[RankEntry], used_range) -> FitResult:
+    """The discrete power-law MLE bisected over [0.05, 20]; a slope of one
+    sign over that whole interval is InsufficientDataError."""
+    ranks = np.array([e.rank for e in selected], dtype=np.float64)
+    counts = np.array([e.count for e in selected], dtype=np.float64)
+    n = counts.sum()
+    log_ranks = np.log(ranks)
+    mean_log = float((counts * log_ranks).sum() / n)
+    lo, hi = 0.05, 20.0
+    while lo < (a_hat := (lo + hi) / 2) < hi:
+        weights = ranks ** (-a_hat)
+        if mean_log * weights.sum() < weights @ log_ranks:  # the slope is negative
+            lo = a_hat
+        else:
+            hi = a_hat
+    if lo == 0.05 or hi == 20.0:
+        raise InsufficientDataError("no likelihood maximum for an exponent in [0.05, 20]")
+    weights = ranks ** (-a_hat)
+    p = weights / weights.sum()
+    variance = float(p @ (log_ranks - p @ log_ranks) ** 2)
+    uncertainty = 1.0 / math.sqrt(n * variance) if variance > 0 else float("inf")
+    constant = 1.0 / float(weights.sum())
+    predicted = np.log10(constant) - a_hat * np.log10(ranks)
+    observed = np.log10(counts / n)
+    ss_res = float(((observed - predicted) ** 2).sum())
+    ss_tot = float(((observed - observed.mean()) ** 2).sum())
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return FitResult(a_hat, uncertainty, math.log10(constant), used_range,
+                     r_squared, len(selected), "mle")
+
+
+def reference_zipf_sensitivity(table: RankTable, *, min_count: int = 10,
+                               method: str = "ols") -> list[FitResult]:
+    """Reference :func:`~contseq.stats.zipf_sensitivity` over
+    :func:`reference_fit_zipf`."""
+    results, seen = [], set()
+    for start in SENSITIVITY_STARTS:
+        for end in SENSITIVITY_ENDS:
+            if end is not None and end - start + 1 < 3:
+                continue
+            try:
+                fit = reference_fit_zipf(table, min_count=min_count, min_rank=start,
+                                         max_rank=end, method=method)
+            except InsufficientDataError:
+                continue
+            if fit.fit_range not in seen:
+                seen.add(fit.fit_range)
+                results.append(fit)
+    return results

@@ -169,6 +169,18 @@ class TestFitCommands:
         assert main(["fit-zipf", "--input", str(tmp_path / "rank.csv"),
                      "--output-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("counts", [[50] * 20, [10 ** 9, 10, 10]], ids=["flat", "steep"])
+    def test_fit_zipf_mle_outside_its_interval_exits_3(self, counts, tmp_path, capsys):
+        from contseq.stats import write_rank_file
+        from test_stats import table_from_ranked_counts
+        write_rank_file(table_from_ranked_counts(counts), tmp_path / "rank.csv")
+        out = tmp_path / "out"
+        assert main(["fit-zipf", "--input", str(tmp_path / "rank.csv"), "--output-dir",
+                     str(out), "--fit-method", "mle"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: no likelihood maximum for an exponent in [0.05, 20]\n")
+        assert not out.exists()
+
     def test_heap_command(self, tmp_path, capsys):
         source = tmp_path / "sequences.txt"
         write_lines(source, [["Asia (1)", "Europe (1)", "Europe (2)"][i % 3]

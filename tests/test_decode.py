@@ -11,8 +11,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contseq import ingest
-from contseq.ingest import ExclusionPolicy, SequenceMapper, _decode_line, record_to_json
+from contseq import files, ingest
+from contseq.ingest import (ExclusionPolicy, SequenceMapper, _decode_line, _depth,
+                            record_to_json)
 from contseq.model import default_table
 from contseq.syngen import SyntheticSpec, corpus_lines
 from strategies import publication_records
@@ -130,3 +131,54 @@ def test_only_lines_that_fail_as_json_reach_loads(loads_calls):
     failing = [bad for bad, message in MALFORMED.items() if message.startswith("invalid JSON")]
     SequenceMapper(ExclusionPolicy(), default_table()).map_lines(list(MALFORMED))
     assert failing and sorted(loads_calls) == sorted(failing)
+
+
+def nested(depth):
+    """A valid record whose unknown field holds arrays nested so that the
+    line nests ``depth`` levels deep (the record itself is level 1)."""
+    return CLEAN[:-1] + ', "x": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+
+def deeper(frames, text):
+    """``_decode_line(text)`` called ``frames`` Python frames deeper."""
+    return deeper(frames - 1, text) if frames else _decode_line(text)
+
+
+TOO_DEEP = f"JSON nested deeper than {ingest.MAX_DEPTH} levels"
+
+
+@pytest.mark.parametrize("depth", [ingest.MAX_DEPTH, ingest.MAX_DEPTH + 1, 950])
+def test_nesting_limit_gives_one_result_at_any_stack_depth(depth):
+    text = nested(depth)
+    result = _decode_line(text)
+    if depth > ingest.MAX_DEPTH:
+        assert result == TOO_DEEP
+    else:
+        assert type(result) is tuple and result[0] == "p1"
+    assert deeper(200, text) == deeper(200, text.encode()) == result
+
+
+def test_nesting_limit_holds_in_a_range_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "_RANGE_BYTES", 4096)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(nested(depth) + "\n" for depth in [ingest.MAX_DEPTH, 950] * 4))
+    with open(corpus, "rb") as handle:
+        assert len(files._spans(handle)) > 1
+    mapper = SequenceMapper(ExclusionPolicy(), default_table())
+    results = list(files.read_ranges(corpus, mapper.map_lines, workers=2))
+    reports = [report for _, report, _, _ in results]
+    assert sum(r.accepted for r in reports) == sum(r.rejected_malformed for r in reports) == 4
+    assert {notice.message for _, _, notices, _ in results for notice in notices} == {TOO_DEEP}
+
+
+def test_only_nesting_outside_strings_counts(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(ingest, "_depth", lambda line: (scanned.append(line),
+                                                        _depth(line))[1])
+    for text in ["x" * 1000, "[" * ingest.MAX_DEPTH, CLEAN, nested(ingest.MAX_DEPTH - 4)]:
+        _decode_line(text)  # no longer than the limit, or no more brackets than it
+    assert scanned == []
+    quoted = line(extra="[" * 600 + "{" * 600)  # brackets in a string do not nest
+    assert _decode_line(quoted)[0] == "p1" and scanned == [quoted.encode()]
+    unterminated = '{"x": "' + "[" * 600
+    assert _decode_line(unterminated).startswith("invalid JSON: Unterminated string")

@@ -1,9 +1,10 @@
 import io
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from contseq.errors import EmptyInputError, InsufficientDataError
 from contseq.mapping import parse_sequence, render_sequence
@@ -13,6 +14,7 @@ from contseq.stats import (HeapPoint, RankEntry, RankTable,
                            read_heap_file, read_rank_file, write_heap_file,
                            write_rank_file, zipf_sensitivity)
 from contseq.syngen import SyntheticSpec, sample_type_indices, sequence_vocabulary
+from helpers import reference_fit_zipf, reference_zipf_sensitivity
 from strategies import continent_sequences, sequence_counts
 
 
@@ -154,6 +156,17 @@ class TestZipfFit:
         assert fit.uncertainty == pytest.approx(1 / math.sqrt(n * variance(fit.exponent)),
                                                 rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("counts", [[50] * 20, [10 ** 9, 10, 10]], ids=["flat", "steep"])
+    def test_mle_refuses_a_root_outside_its_interval(self, counts):
+        """A flat table's likelihood peaks below 0.05 and a steep one's above
+        20: the fit is insufficient data, not a bound reported as an
+        estimate, and the sensitivity battery skips such windows."""
+        table = table_from_ranked_counts(counts)
+        with pytest.raises(InsufficientDataError, match=r"exponent in \[0\.05, 20\]"):
+            fit_zipf(table, method="mle")
+        assert zipf_sensitivity(table, method="mle") == []
+        assert fit_zipf(table).method == "ols"
+
     def test_sensitivity_sweeps_ranges(self):
         counts = [round(1e12 * r ** -1.9) for r in range(1, 201)]
         fits = zipf_sensitivity(table_from_ranked_counts(counts))
@@ -161,6 +174,45 @@ class TestZipfFit:
         assert len({f.fit_range for f in fits}) == len(fits)
         for fit in fits:
             assert abs(fit.exponent - 1.9) < 1e-6
+
+
+def outcome(fit, *args, **kwargs):
+    """A fit's result, or the type and message of its error."""
+    try:
+        return fit(*args, **kwargs)
+    except (InsufficientDataError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def same_fit(a, b) -> bool:
+    """Every field equal, nan counting equal to nan."""
+    return type(a) is type(b) and all(x == y or x != x and y != y
+                                      for x, y in zip(astuple(a), astuple(b)))
+
+
+ranked_counts = st.one_of(
+    st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=60),
+    st.builds(lambda n, a, top: [max(1, round(top * r ** -a)) for r in range(1, n + 1)],
+              st.integers(1, 80), st.floats(0, 25), st.integers(1, 10 ** 9)))
+rank_bounds = st.one_of(st.none(), st.integers(-3, 8), st.integers(9, 90), st.just(10 ** 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=ranked_counts, min_rank=rank_bounds, max_rank=rank_bounds,
+       min_count=st.sampled_from([0, 1, 10, "above"]), method=st.sampled_from(["ols", "mle"]))
+def test_fits_match_the_entry_walking_reference(counts, min_rank, max_rank, min_count,
+                                                method):
+    """fit_zipf and zipf_sensitivity, which select on the table's count
+    vector, give the reference's results and errors, field for field."""
+    table = table_from_ranked_counts(sorted(counts, reverse=True))
+    if min_count == "above":
+        min_count = max(counts) + 1
+    window = dict(min_count=min_count, min_rank=min_rank, max_rank=max_rank, method=method)
+    got, want = outcome(fit_zipf, table, **window), outcome(reference_fit_zipf, table, **window)
+    assert got == want if isinstance(want, tuple) else same_fit(got, want), (got, want)
+    got = zipf_sensitivity(table, min_count=min_count, method=method)
+    want = reference_zipf_sensitivity(table, min_count=min_count, method=method)
+    assert len(got) == len(want) and all(map(same_fit, got, want)), (got, want)
 
 
 class TestHeapCurve:
