@@ -84,7 +84,8 @@ class PublicationStore(Protocol):
 
 #: Ids of one kind as buffers: their UTF-8 bytes one after another
 #: (``uint8``), the ``int64`` end of each id's bytes, and each id's ``uint32``
-#: digest.
+#: digest. The ends stay ``int64`` while parts are merged; only the finished
+#: store narrows its offsets.
 Blob = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: One range's index columns: its publication ids, their years, the ``int64``
@@ -100,8 +101,12 @@ Columns = tuple[Blob, np.ndarray, np.ndarray, np.ndarray, Blob, int]
 #: grows with how many do: for k distinct ids of one digest, the build's
 #: merge makes about k rounds and each lookup compares up to k ids' bytes.
 _digest = zlib.crc32
-_CHUNK = 1 << 16  # pairs of ids that _same compares at once
+_CHUNK = 1 << 16  # pairs of ids that _same compares, or rows _gathered copies, at once
 _LOW = 0xFFFFFFFF
+#: A finished column is kept in 4 bytes per entry when its values fit: offsets
+#: below this limit as ``uint32``, years within half of it either side of 0
+#: as ``int32``. Otherwise it stays in 8 bytes.
+_LIMIT = 1 << 32
 _NO_ANSWER = ((), ())
 
 
@@ -161,11 +166,38 @@ def _joined(blobs: Iterable[Blob]) -> Blob:
             np.concatenate(digests))
 
 
-def _subset(ids: Blob, kept: np.ndarray) -> Blob:
-    """The ``kept`` ids (a boolean mask), in order."""
-    data, ends, digests = ids
+def _gathered(values: np.ndarray, ends: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``rows`` (indices) of the rows of ``values`` that end at ``ends``,
+    one after another, and their ends.
+
+    The rows are copied a chunk at a time, so the temporaries stay small
+    however many rows there are."""
     lengths = np.diff(ends, prepend=0)
-    return data[np.repeat(kept, lengths)], np.cumsum(lengths[kept]), digests[kept]
+    new_ends = np.cumsum(lengths[rows])
+    out = np.empty(new_ends[-1] if len(rows) else 0, dtype=values.dtype)
+    for chunk in range(0, len(rows), _CHUNK):
+        part, stops = rows[chunk:chunk + _CHUNK], new_ends[chunk:chunk + _CHUNK]
+        sizes = lengths[part]
+        start, stop = stops[0] - sizes[0], stops[-1]
+        # each copied byte's position in out, shifted by its row's move
+        out[start:stop] = values[np.arange(start, stop) + np.repeat(ends[part] - stops, sizes)]
+    return out, new_ends
+
+
+def _reordered(ids: Blob, rows: np.ndarray) -> Blob:
+    """The ids of ``rows`` (indices), in that order."""
+    data, ends, digests = ids
+    return *_gathered(data, ends, rows), digests[rows]
+
+
+def _narrowed(column: np.ndarray, signed: bool = False) -> np.ndarray:
+    """``column`` as ``int32`` (``signed``) or ``uint32`` if each of its
+    values fits there under ``_LIMIT``, else as it is."""
+    low, high = (-(_LIMIT >> 1), _LIMIT >> 1) if signed else (0, _LIMIT)
+    if len(column) and not (low <= column.min() and column.max() < high):
+        return column
+    return column.astype(np.int32 if signed else np.uint32)
 
 
 def _pairs(keys: np.ndarray) -> np.ndarray:
@@ -222,32 +254,32 @@ def _same(data: np.ndarray, offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -
 
 
 class _Ids:
-    """Ids of one kind, numbered in order: their UTF-8 bytes one after
-    another under ``int64`` offsets, and ``digest << 32 | number`` for each
-    id, sorted for lookup."""
+    """Ids of one kind, numbered in digest order: their UTF-8 bytes one
+    after another under offsets, and their ``uint32`` digests, sorted, so an
+    id's number is the position of its digest. The offsets are ``uint32``
+    if the bytes total under 4 GiB, else ``int64``."""
 
-    __slots__ = ("_data", "_offsets", "_keys")
+    __slots__ = ("_data", "_offsets", "_digests")
 
     def __init__(self, ids: Blob):
         data, ends, digests = ids
         self._data = data.tobytes()
-        self._offsets = memoryview(np.concatenate(([0], ends)))
-        self._keys = memoryview(_pairs(digests))
+        self._offsets = memoryview(_narrowed(np.concatenate(([0], ends))))
+        self._digests = memoryview(digests)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._digests)
 
     def number(self, id_: str) -> int | None:
         """The number of ``id_``, or None if it is not here."""
         key = id_.encode("utf-8", "surrogatepass")  # as _blob encodes
-        low = _digest(key) << 32
-        data, offsets, keys = self._data, self._offsets, self._keys
-        i = bisect_left(keys, low)
-        # keys[i] - low is the number of an id with this digest, if below 2**32
-        while i < len(keys) and (number := keys[i] - low) <= _LOW:
+        digest = _digest(key)
+        data, offsets, digests = self._data, self._offsets, self._digests
+        number = bisect_left(digests, digest)
+        while number < len(digests) and digests[number] == digest:
             if data[offsets[number]:offsets[number + 1]] == key:
                 return number
-            i += 1
+            number += 1
         return None
 
     def decoded(self, numbers: Iterable[int]) -> list[str]:
@@ -261,17 +293,20 @@ class CorpusStore:
 
     Only each record's publication id, year and author ids are kept, and in
     buffers, not in a Python object per id. The ids of each kind are one
-    UTF-8 blob under ``int64`` offsets, numbered in first-seen order, with a
-    ``uint64`` key per id, its CRC-32 digest and its number, sorted for
-    lookup. A query bisects the keys of its id's digest and compares bytes,
-    so ids whose digests collide are told apart, and it decodes only the
-    ids it returns. Both directions of the co-authorship graph are
-    compressed sparse rows: ``int32`` members under ``int64`` offsets. The
-    index costs the cyclic garbage collector nothing. An author listed twice
-    in one record counts once. An id query answers with a list of one row's
-    ids, each id once; a profile is built on demand. :meth:`authors_of`
-    skips the lookup for an id object that the last :meth:`publications_of`
-    answer listed, asked for in that answer's order.
+    UTF-8 blob, numbered in the order of their CRC-32 digests, so the sorted
+    ``uint32`` digests are the lookup keys and an id's number is its
+    digest's position. A query bisects the digests for its id's and compares
+    bytes, so ids whose digests collide are told apart, and it decodes only
+    the ids it returns. Both directions of the co-authorship graph are
+    compressed sparse rows of ``int32`` members; an author's row lists its
+    publications in record order. An offset column is ``uint32`` while its
+    last offset is below 2**32, and the authors' last years are ``int32``
+    when every one fits; otherwise a column is 8 bytes wide. The index
+    costs the cyclic garbage collector nothing. An author listed twice in
+    one record counts once. An id query answers with a list of one row's
+    ids, each id once; a profile is built on demand.
+    :meth:`authors_of` skips the lookup for an id object that the last
+    :meth:`publications_of` answer listed, asked for in that answer's order.
 
     Range workers return each range's ids as blobs, and the build merges
     them with numpy alone: equal digests next to each other under a stable
@@ -316,33 +351,57 @@ class CorpusStore:
             first = int(np.argmin(kept))
             start = id_ends[first - 1] if first else 0
             duplicate = str(data[start:id_ends[first]], "utf-8", "surrogatepass")
-            sizes = np.diff(pub_ends, prepend=0)
-            members = members[np.repeat(kept, sizes)]
-            pub_ends = np.cumsum(sizes[kept])
-            pubs, years = _subset(pubs, kept), years[kept]
-        # merge byte-equal authors, and drop those that only skipped records list
+            kept = np.flatnonzero(kept)
+            members, pub_ends = _gathered(members, pub_ends, kept)
+            pubs, years = _reordered(pubs, kept), years[kept]
+        del kept
+        # merge byte-equal authors, drop those that only skipped records
+        # list, and number the rest in digest order
         members = _firsts(authors)[members]
         used = np.zeros(len(authors[1]), dtype=bool)
         used[members] = True
-        members = (np.cumsum(used, dtype=np.int32) - 1)[members]
-        authors = _subset(authors, used)
-        del kept, used
+        rows = np.flatnonzero(used)
+        del used
+        rows = rows[np.argsort(authors[2][rows], kind="stable")]
+        numbers = np.empty(len(authors[1]), dtype=np.int32)
+        numbers[rows] = np.arange(len(rows), dtype=np.int32)
+        members = numbers[members]
+        authors = _reordered(authors, rows)
+        del rows, numbers
 
-        pub_offsets = np.concatenate(([0], pub_ends))
-        records = np.repeat(np.arange(len(years), dtype=np.int32), np.diff(pub_offsets))
-        author_members = records[_pairs(members) & _LOW]  # by author, then record
+        records = np.repeat(np.arange(len(years), dtype=np.int32), np.diff(pub_ends, prepend=0))
+        author_members = _pairs(members)  # by author, then record
+        author_members &= _LOW
+        author_members = records[author_members]
         del records
-        counts = np.bincount(members, minlength=len(authors[1]))
+        counts = np.bincount(members, minlength=len(authors[2]))
         author_offsets = np.concatenate(([0], np.cumsum(counts)))
+        del counts
         # reduceat needs every row non-empty: each author has a publication.
         # An object array of years (one beyond int64) works too.
         last_years = np.maximum.reduceat(years[author_members], author_offsets[:-1])
+        del years
+        # number the publications in digest order too; an author's row
+        # keeps its records' order
+        rows = np.argsort(pubs[2], kind="stable")
+        numbers = np.empty(len(rows), dtype=np.int32)
+        numbers[rows] = np.arange(len(rows), dtype=np.int32)
+        author_members = numbers[author_members]
+        del numbers
+        members, pub_ends = _gathered(members, pub_ends, rows)
+        pubs = _reordered(pubs, rows)
+        del rows
 
         self._pubs, self._authors = _Ids(pubs), _Ids(authors)
+        # the blobs go before the last columns are narrowed, which then
+        # reuse their space rather than grow the heap
+        del pubs, authors
         # memoryviews index and slice to Python ints, not numpy scalars
-        self._pub_members, self._pub_offsets = memoryview(members), memoryview(pub_offsets)
+        self._pub_members = memoryview(members)
+        self._pub_offsets = memoryview(_narrowed(np.concatenate(([0], pub_ends))))
         self._author_members = memoryview(author_members)
-        self._author_offsets = memoryview(author_offsets)
+        self._author_offsets = memoryview(_narrowed(author_offsets))
+        last_years = _narrowed(last_years, signed=True)
         # an object array of years has no buffer; it is the rare case
         self._last_years = (last_years.tolist() if last_years.dtype == object
                             else memoryview(last_years))

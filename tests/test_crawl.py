@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -71,6 +72,17 @@ class TestStore:
         assert store.duplicates_skipped == 1
         assert store.authors_of("p1") == ["A"]
         assert store.author_ids() == ("A", "B")
+
+    def test_answers_keep_record_order(self):
+        """Ids are numbered in digest order, but an author's publications
+        come back in record order and a record's authors as listed."""
+        pubs = [f"p{i}" for i in range(50)]
+        store = CorpusStore([coauthored(pub, ["B", "A"] if i % 2 else ["A", "C"])
+                             for i, pub in enumerate(pubs)])
+        assert store.publications_of("A") == pubs
+        assert store.publications_of("B") == pubs[1::2]
+        assert store.authors_of("p1") == ["B", "A"]
+        assert store.authors_of("p2") == ["A", "C"]
 
     def test_membership_round_trip(self):
         store, authors = random_store(4)
@@ -341,6 +353,60 @@ def test_store_holds_under_100_bytes_per_id(tmp_path, monkeypatch):
     ids = len(store.publication_ids()) + len(store.author_ids())
     assert ids > 30_000
     assert held / ids <= 100, f"{held / ids:.1f} bytes per id"
+
+
+def index_columns(store: CorpusStore) -> dict:
+    """The store's index columns by name: every offset column, the lookup
+    digests and the authors' last years, not the id bytes or the members."""
+    return {"pub_id_offsets": store._pubs._offsets, "pub_digests": store._pubs._digests,
+            "author_id_offsets": store._authors._offsets,
+            "author_digests": store._authors._digests, "pub_offsets": store._pub_offsets,
+            "author_offsets": store._author_offsets, "last_years": store._last_years}
+
+
+def test_store_index_holds_4_bytes_per_entry(tmp_path):
+    """On the corpus of the test above, the index columns hold 4 bytes per
+    entry: any one of them back at 8 bytes fails this, however the
+    allocator rounds."""
+    corpus = _bench_module("corpus")
+    path = tmp_path / "corpus.jsonl"
+    corpus.write_coauthor_corpus(path, 42, 20_000, corpus.Geography.load(DATA))
+    columns = index_columns(CorpusStore.from_file(path))
+    assert sum(len(column) for column in columns.values()) > 100_000
+    assert sum(column.nbytes for column in columns.values()) == 4 * sum(
+        len(column) for column in columns.values()), {
+        name: column.itemsize for name, column in columns.items()}
+
+
+@pytest.mark.parametrize("year, width", [(2019, 4), (2 ** 31, 8), (2 ** 63, None)],
+                         ids=["int32", "int64", "beyond-int64"])
+def test_last_publication_year_is_an_exact_int(year, width):
+    """Last years are kept as ``int32`` when they fit, else ``int64``, else
+    as a list of ints; a profile reads each back as the exact int."""
+    records = [coauthored("p1", ["A", "B"], 1990), coauthored("p2", ["A"], year),
+               coauthored("p3", ["C"], -2 ** 31)]
+    store, oracle = CorpusStore(records), OracleStore(records)
+    years = store._last_years
+    assert (years.itemsize if isinstance(years, memoryview) else None) == width
+    for author in ("A", "B", "C"):
+        profile = store.profile(author)
+        assert profile == oracle.profile(author)
+        assert type(profile.last_publication_year) is int
+
+
+@pytest.mark.parametrize("digest", [zlib.crc32, len, lambda data: 7],
+                         ids=["crc32", "length", "constant"])
+def test_wide_columns_agree_with_oracle(digest, tmp_path, monkeypatch):
+    """A corpus with 4 GiB of ids or members needs 8-byte offsets. A width
+    limit of 0 makes every offset column and the last years 8 bytes wide, so
+    the store-vs-oracle tests and the collision test run on that path."""
+    module = sys.modules[CorpusStore.__module__]
+    monkeypatch.setattr(module, "_LIMIT", 0)
+    columns = index_columns(CorpusStore([coauthored("p1", ["A", "B"], 2010)]))
+    widths = {name: column.itemsize for name, column in columns.items()
+              if not name.endswith("digests")}  # digests are 4 bytes on any corpus
+    assert set(widths.values()) == {8}, widths
+    test_ids_whose_digests_collide_are_told_apart(digest, tmp_path, monkeypatch)
 
 
 def test_gen_crawl_looks_up_no_publication(tmp_path, monkeypatch):
