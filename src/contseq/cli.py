@@ -49,7 +49,7 @@ from .stats import (RankTable, default_sample_sizes, fit_heap, fit_zipf,
                     format_fit_report, heap_curve, read_heap_file,
                     read_rank_file, write_heap_file, write_rank_file,
                     zipf_sensitivity)
-from .syngen import SyntheticSpec, corpus_lines
+from .syngen import SyntheticSpec, corpus_chunks
 
 _POINT_FORMAT = "%.8g"  # plot-data value precision
 
@@ -225,9 +225,9 @@ def cmd_gen(args) -> int:
     spec = SyntheticSpec(vocabulary_size=args.vocab, exponent=args.exponent,
                          corpus_size=args.size, seed=args.seed)
     path = args.output_dir / "corpus.jsonl"
-    with writing(path) as sink:
+    with writing(path, binary=True) as sink:
         print(f"seed {args.seed}")
-        sink.writelines(corpus_lines(spec))
+        sink.writelines(corpus_chunks(spec))
     print(f"wrote {spec.corpus_size} records to {path}")
     return 0
 

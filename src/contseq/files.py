@@ -171,8 +171,9 @@ def read_ranges(path: str | Path, work: Callable[[Iterable[bytes]], T],
 
 
 @contextmanager
-def writing(sink: Sink) -> Iterator[TextIO]:
-    """A UTF-8 text handle with Unix line endings for ``sink``.
+def writing(sink: Sink | IO[bytes], binary: bool = False) -> Iterator[IO]:
+    """A UTF-8 text handle with Unix line endings for ``sink``, or a byte
+    handle when ``binary``.
 
     A path is written through a temporary file in its directory (made if
     missing), which replaces it once the block ends without an exception
@@ -185,7 +186,8 @@ def writing(sink: Sink) -> Iterator[TextIO]:
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+        with (open(temp, "wb") if binary else
+              open(temp, "w", encoding="utf-8", newline="\n")) as handle:
             yield handle
         os.replace(temp, path)
     except BaseException:

@@ -289,6 +289,13 @@ def _encode_corpus(corpus: Sequence) -> np.ndarray:
                        dtype=np.int64, count=len(corpus))
 
 
+def _distinct(codes: np.ndarray, span: int) -> int:
+    """The number of distinct codes, each in ``[0, span)``."""
+    seen = np.zeros(span, dtype=bool)  # a flag per code: no sort, no cast of the sample
+    seen[codes] = True
+    return int(np.count_nonzero(seen))
+
+
 def heap_curve(corpus: Sequence, sample_sizes: Sequence[int] | None = None,
                repeats: int = 5, seed: int = 0) -> HeapCurve:
     """Sample the vocabulary-growth curve of an indexed sequence corpus.
@@ -299,7 +306,8 @@ def heap_curve(corpus: Sequence, sample_sizes: Sequence[int] | None = None,
     publications are drawn without replacement and their distinct sequences
     counted. Each (size, repeat) pair runs on its own PCG64 generator seeded
     by ``SeedSequence((seed, size_index, repeat_index))``, so the curve is
-    bit-reproducible and independent of execution order.
+    bit-reproducible and independent of execution order. At N equal to the
+    corpus size every subset is the whole corpus, so that point draws nothing.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -311,13 +319,14 @@ def heap_curve(corpus: Sequence, sample_sizes: Sequence[int] | None = None,
     for size_index, n in enumerate(sample_sizes):
         if not 1 <= n <= size:
             raise ValueError(f"sample size {n} outside [1, {size}]")
-        values = []
-        for repeat_index in range(repeats):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((seed, size_index, repeat_index))))
-            seen = np.zeros(span, dtype=bool)  # a flag per code: no sort, no cast of the sample
-            seen[codes[rng.choice(size, size=n, replace=False)]] = True
-            values.append(int(np.count_nonzero(seen)))
+        if n == size:  # every draw is the whole corpus, so none is made
+            values = [_distinct(codes, span)] * repeats
+        else:
+            values = []
+            for repeat_index in range(repeats):
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence((seed, size_index, repeat_index))))
+                values.append(_distinct(codes[rng.choice(size, size=n, replace=False)], span))
         arr = np.array(values, dtype=np.float64)
         sd = float(arr.std(ddof=1)) if repeats > 1 else 0.0
         points.append(HeapPoint(int(n), values[0], repeats, float(arr.mean()), sd))

@@ -7,13 +7,17 @@ author per country), so mapping a generated record reproduces its intended
 sequence exactly and every record passes ingest filtering. Everything is
 driven by PCG64 seeded from :class:`SyntheticSpec`, so equal specs yield
 byte-identical corpora.
+
+:func:`iter_corpus` yields the records; :func:`corpus_chunks` yields the bytes
+``write_corpus`` would write for them, assembled from pieces rendered once
+(a head, an id, a year piece, a type's tail), so no Python code runs per line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
-from typing import Iterator
+from itertools import chain, count, cycle, islice, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,6 +27,9 @@ from .model import (Affiliation, AuthorRecord, CONTINENTS, Continent,
                     default_table)
 
 _DRAWS_PER_CHUNK = 1 << 16  # type indices sampled at once; bounds gen's memory
+_FIRST_YEAR, _YEARS = 2015, 9  # publication i is from _FIRST_YEAR + i % _YEARS
+_IDS_PER_BLOCK = 10_000  # publication i's id is _ID_PREFIX % (i // 10_000) and i % 10_000 in 4 digits
+_ID_PREFIX = b"syn-%04d"
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,35 +123,67 @@ def _template_authors(type_number: int, sequence: ContinentSequence,
         for member, label in enumerate(labels, 1))
 
 
-def _draws(spec: SyntheticSpec) -> Iterator[tuple]:
-    """The type index, id, year and template authors of each publication."""
+def _templates(spec: SyntheticSpec) -> Callable[[int], tuple[AuthorRecord, ...]]:
+    """The template authors of a zero-based type index of ``spec``'s vocabulary."""
     table = default_table()
     vocabulary = sequence_vocabulary(spec.vocabulary_size, table)
     pools = table.countries_by_continent()
-    templates: dict[int, tuple[AuthorRecord, ...]] = {}
-    keys = chain.from_iterable(map(memoryview, _type_index_chunks(spec)))  # Python ints
-    for i, key in enumerate(keys):
-        if key not in templates:
-            templates[key] = _template_authors(key + 1, vocabulary[key], pools)
-        yield key, f"syn-{i:08d}", 2015 + (i % 9), templates[key]
+    return lambda key: _template_authors(key + 1, vocabulary[key], pools)
+
+
+class _Memo(dict):
+    """``make(key)`` for each key, made on its first lookup."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def iter_corpus(spec: SyntheticSpec) -> Iterator[PublicationRecord]:
     """Stream the corpus for ``spec`` without holding it all in memory."""
-    return (PublicationRecord(pub_id, year, authors)
-            for _, pub_id, year, authors in _draws(spec))
+    templates = _Memo(_templates(spec))
+    keys = chain.from_iterable(map(memoryview, _type_index_chunks(spec)))  # Python ints
+    for i, key in enumerate(keys):
+        yield PublicationRecord(f"syn-{i:08d}", _FIRST_YEAR + i % _YEARS, templates[key])
 
 
-def corpus_lines(spec: SyntheticSpec) -> Iterator[str]:
-    """The lines ``write_corpus(iter_corpus(spec))`` writes, cut from one
-    :func:`record_to_json` line per new type or year: a head per year, a tail per type."""
-    heads, tails = {}, {}
-    for key, pub_id, year, authors in _draws(spec):
-        if key not in tails or year not in heads:
-            line = record_to_json(PublicationRecord("%s", year, authors))
-            cut = line.index(',"authors":')
-            heads[year], tails[key] = line[:cut], line[cut:] + "\n"
-        yield heads[year] % pub_id + tails[key]
+def _id_suffixes() -> list[bytes]:
+    """The last four digits of each id in a block, ``b"0000"`` to ``b"9999"``."""
+    return [b"%04d" % j for j in range(_IDS_PER_BLOCK)]
+
+
+def corpus_chunks(spec: SyntheticSpec) -> Iterator[bytes]:
+    """The bytes ``write_corpus(iter_corpus(spec))`` writes, one chunk per
+    block of ``_IDS_PER_BLOCK`` lines.
+
+    A line is a head that ends in the block's id prefix, the id's last four
+    digits, the year's piece (``","year":2015``) and the type's tail. The
+    head and year pieces are cut from a :func:`record_to_json` line, as the
+    tails are; each chunk is one join over C-level iterators.
+    """
+    template = _templates(spec)
+
+    def tail(key: int) -> bytes:  # the line's end from ',"authors":' on
+        line = record_to_json(PublicationRecord("", _FIRST_YEAR, template(key)))
+        return (line[line.index(',"authors":'):] + "\n").encode()
+
+    tails = _Memo(tail)  # rendered on the type's first draw
+    suffixes = _id_suffixes()
+    years = []
+    for year in range(_FIRST_YEAR, _FIRST_YEAR + _YEARS):  # "|" marks where the id goes
+        line = record_to_json(PublicationRecord("|", year, template(0))).encode()
+        head, after = line.split(b"|", 1)
+        years.append(after[:after.index(b',"authors":')])
+    keys = chain.from_iterable(map(memoryview, _type_index_chunks(spec)))  # Python ints
+    for block, start in enumerate(range(0, spec.corpus_size, _IDS_PER_BLOCK)):
+        # zip stops at the first iterator to run out, so no key is taken past the block
+        lines = zip(repeat(head + _ID_PREFIX % block, spec.corpus_size - start), suffixes,
+                    islice(cycle(years), start % _YEARS, None), map(tails.__getitem__, keys))
+        yield b"".join(chain.from_iterable(lines))
 
 
 def generate_corpus(spec: SyntheticSpec) -> list[PublicationRecord]:

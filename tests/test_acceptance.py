@@ -10,6 +10,7 @@ source collection is not reproducible at desk scale.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -278,6 +279,9 @@ def test_criterion_8_throughput(tmp_path):
     assert cli_main(["gen", "--output-dir", str(out), "--vocab", "5000",
                      "--exponent", "1.9", "--size", "1000000",
                      "--seed", "42"]) == 0  # setup, untimed
+    # the benchmark corpus, as gen wrote it when it still serialized every record
+    assert hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest() == \
+        "447292419bf6310199fb380e71b97b042284fdeda24949862e9f6911ae52a14b"
     with _within(60.0):
         assert cli_main(["map", "--input", str(out / "corpus.jsonl"),
                          "--output-dir", str(out)]) == 0

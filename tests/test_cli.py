@@ -16,7 +16,7 @@ from contseq.cli import main
 from contseq.ingest import write_corpus
 from contseq.model import ContinentTable
 from contseq.stats import read_heap_file
-from contseq.syngen import SyntheticSpec, corpus_lines, iter_corpus
+from contseq.syngen import SyntheticSpec, corpus_chunks, iter_corpus
 from golden import GOLDEN_RANK_LINES, fixture_sequences
 from helpers import coauthored, record
 from test_crawl import DATA, _bench_module
@@ -265,10 +265,10 @@ class TestGenCommand:
         before = (tmp_path / "corpus.jsonl").read_bytes()
 
         def failing(spec):
-            yield from islice(corpus_lines(spec), 100)
+            yield b"".join(islice(next(corpus_chunks(spec)).splitlines(keepends=True), 100))
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(cli, "corpus_lines", failing)
+        monkeypatch.setattr(cli, "corpus_chunks", failing)
         assert main(argv + ["--seed", "1"]) == 1
         assert (tmp_path / "corpus.jsonl").read_bytes() == before
         assert [path.name for path in tmp_path.iterdir()] == ["corpus.jsonl"]

@@ -15,7 +15,7 @@ from contseq import files, ingest
 from contseq.ingest import (ExclusionPolicy, SequenceMapper, _decode_line, _depth,
                             record_to_json)
 from contseq.model import default_table
-from contseq.syngen import SyntheticSpec, corpus_lines
+from contseq.syngen import SyntheticSpec, corpus_chunks
 from strategies import publication_records
 from test_ingest import MALFORMED, line
 
@@ -120,7 +120,7 @@ def loads_calls(monkeypatch):
 
 
 def test_clean_lines_do_not_reach_loads(loads_calls):
-    corpus = [text.encode() for text in corpus_lines(SyntheticSpec(200, 1.9, 1000, seed=5))]
+    corpus = b"".join(corpus_chunks(SyntheticSpec(200, 1.9, 1000, seed=5))).splitlines(keepends=True)
     mapper = SequenceMapper(ExclusionPolicy(), default_table())
     _, report, notices, number = mapper.map_lines(corpus)
     assert number == report.total == 1000 and report.accepted > 0 and notices == []

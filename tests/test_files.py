@@ -148,6 +148,21 @@ class TestWriting:
             sink.write("Zürich\n")
         assert path.read_bytes() == "Zürich\n".encode("utf-8")
 
+    def test_binary_replaces_on_success_and_keeps_previous_on_exception(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError):
+            with writing(path, binary=True) as sink:
+                sink.write(b"partial\r\n")
+                raise RuntimeError("boom")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        with writing(path, binary=True) as sink:
+            sink.write("Zürich\r\n".encode())
+            assert path.read_bytes() == b"old\n"
+        assert path.read_bytes() == "Zürich\r\n".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
     def test_handle_passes_through_unclosed(self):
         handle = io.StringIO()
         with writing(handle) as sink:

@@ -262,6 +262,24 @@ class TestHeapCurve:
         expected = heap_curve([str(label) for label in labels], repeats=3, seed=4)
         assert heap_curve(np.array(big, dtype=dtype), repeats=3, seed=4) == expected
 
+    @pytest.mark.parametrize("size", [5_000, 30_000])  # numpy's two choice() paths
+    def test_matches_a_brute_force_count(self, size):
+        # every point, the whole corpus among them, against a draw per (size, repeat)
+        corpus = [(i * 7919) % 2003 % (1 + i % 97) for i in range(size)]
+        sizes, repeats, seed = [100, size // 3, size - 1, size], 4, 11
+        points = []
+        for size_index, n in enumerate(sizes):
+            values = []
+            for repeat_index in range(repeats):
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence((seed, size_index, repeat_index))))
+                values.append(len({corpus[i] for i in rng.choice(size, size=n, replace=False)}))
+            points.append(HeapPoint(n, values[0], repeats, float(np.mean(values)),
+                                    float(np.std(values, ddof=1))))
+        assert points[-1].v == len(set(corpus)) and points[-1].v_sd == 0.0
+        assert heap_curve(corpus, sample_sizes=sizes, repeats=repeats, seed=seed).points == \
+            tuple(points)
+
     def test_default_sample_sizes(self):
         sizes = default_sample_sizes(1_000_000)
         assert sizes[0] == 100 and sizes[-1] == 1_000_000 and len(sizes) == 20

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -9,7 +10,8 @@ from contseq.ingest import ExclusionPolicy, filter_record, write_corpus
 from contseq.mapping import map_to_sequence, render_sequence
 from contseq.model import Continent, ContinentTable
 from contseq.stats import RankTable, fit_zipf
-from contseq.syngen import (SyntheticSpec, corpus_lines, generate_corpus, iter_corpus,
+from contseq.syngen import (_ID_PREFIX, _IDS_PER_BLOCK, SyntheticSpec, _id_suffixes,
+                            corpus_chunks, generate_corpus, iter_corpus,
                             sample_type_indices, sequence_vocabulary,
                             type_probabilities)
 
@@ -97,7 +99,29 @@ class TestCorpus:
         spec = SyntheticSpec(vocab, exponent, size, seed)
         records = io.StringIO()
         write_corpus(iter_corpus(spec), records)
-        assert "".join(corpus_lines(spec)) == records.getvalue()
+        assert b"".join(corpus_chunks(spec)) == records.getvalue().encode()
+
+    def test_gen_chunks_across_draw_chunks_and_id_blocks(self):
+        # 140,001 records: three chunks of 65,536 draws, fifteen blocks of
+        # 10,000 ids, the last of them one line long
+        spec = SyntheticSpec(5000, 1.9, 140_001, seed=42)
+        records = io.StringIO()
+        write_corpus(iter_corpus(spec), records)
+        chunks = list(corpus_chunks(spec))
+        assert [chunk.count(b"\n") for chunk in chunks] == [_IDS_PER_BLOCK] * 14 + [1]
+        assert b"".join(chunks) == records.getvalue().encode()
+        # sha256 of this corpus when gen still serialized every record
+        pinned = "070d5c09a61f7c3df6b02a9aa3a7441a1fe78621ef2563fd92240609a3cb3a13"
+        assert hashlib.sha256(b"".join(chunks)).hexdigest() == pinned
+
+    @pytest.mark.parametrize("start", [0, 10**8 - 20_000, 10**9 - 3])
+    def test_id_pieces_make_every_id(self, start):
+        # a chunk writes id i as its block's prefix and i's last four digits,
+        # which stays f"syn-{i:08d}" past 10**8, where ids grow a ninth digit
+        suffixes = _id_suffixes()
+        for i in range(start, start + 40_000):
+            pieces = _ID_PREFIX % (i // _IDS_PER_BLOCK) + suffixes[i % _IDS_PER_BLOCK]
+            assert pieces == f"syn-{i:08d}".encode()
 
     def test_unique_pub_ids_and_years(self):
         records = generate_corpus(SyntheticSpec(10, 1.9, 30, seed=0))
