@@ -16,7 +16,9 @@ malformed. Unknown extra fields are ignored. Blank lines are skipped.
 Every reader reads a line through one function, ``_decode_line``, which
 decodes and parses it once and walks its authors once, checking them and
 collecting their ids, the set of country labels and the largest affiliation
-count, so neither ``map`` nor ``crawl`` walks a record again. Malformed
+count, so neither ``map`` nor ``crawl`` walks a record again (``map``
+does not decode a line at all when it has seen the line's tail before; see
+:class:`SequenceMapper`). Malformed
 lines, lines that are not valid UTF-8 and lines whose strings hold an
 unpaired surrogate, escaped or raw, never abort a run: they come back as
 :class:`MalformedRecord` notices and are tallied in the :class:`IngestReport`.
@@ -48,6 +50,14 @@ _JSON_SPACE = " \t\n\r"  # the whitespace json allows around a value; str.isspac
 MAX_DEPTH = 500
 _STRING = re.compile(rb'"(?:[^"\\]+|\\.)*"?', re.S)  # a JSON string, or an unterminated rest
 _NOT_BRACKET = re.compile(rb"[^][{}]+")
+#: The head of a line in :func:`record_to_json`'s layout, up to the authors
+#: value: an id with no escape or control byte and a year of at most 18 digits.
+#: json's parser is in one state after any head this matches, so the rest of
+#: the line, its tail, alone decides the line's outcome, given an id that
+#: decodes and is not blank.
+_CANONICAL = re.compile(
+    rb'\{"schema_version":1,"id":"([^"\\\x00-\x1f]+)","year":-?(?:0|[1-9][0-9]{0,17}),"authors":')
+_TAIL_BUDGET = 1 << 20  # bytes of tails a SequenceMapper remembers
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,35 +289,77 @@ class SequenceMapper:
     """The fused ingest: corpus lines straight to the text and report of
     :func:`parse_corpus`, :func:`classify` and :func:`render_sequence`, but
     with no record built. Rule 2 and the rendering are memoized by the set of
-    a record's raw country labels, for up to ``_MEMO_SIZE`` sets per mapper."""
+    a record's raw country labels, for up to ``_MEMO_SIZE`` sets per mapper.
+
+    In front of that, a line whose head matches ``_CANONICAL`` (the layout
+    :func:`record_to_json` writes, up to ``"authors":``) looks up its tail,
+    the bytes after that head, line ending included, in a second memo that
+    maps a tail to the line's outcome: its sequence line, or the reject
+    reason of rule 1 or 2. A hit decodes nothing but the head's id, which
+    must be valid UTF-8 and not blank; any other line is decoded whole. Only
+    a canonical line that decoded whole stores its tail, while the tails
+    stored total at most ``_TAIL_BUDGET`` bytes (1 MiB). This pays on a
+    corpus whose records repeat an authors array byte for byte, as ``gen``'s
+    do; on one of distinct author lists nearly every line misses, so a
+    mapper whose memo is full and has been hit fewer times than it holds
+    tails empties it and stops looking."""
 
     def __init__(self, policy: ExclusionPolicy, table: ContinentTable):
         self.policy, self.table = policy, table
         self._memo: dict[frozenset, str | RejectReason] = {}
+        self._tails: dict[bytes, str | RejectReason] = {}
+        self._room, self._hits, self._looking = _TAIL_BUDGET, 0, True
 
     def map_lines(self, lines: Iterable[bytes]) -> tuple[str, IngestReport,
                                                          list[MalformedRecord], int]:
         """The accepted records' sequences, one per line; the report; the
         notices of the first :data:`MAX_NOTICES` malformed lines, numbered
         from 1; and the number of lines read."""
-        limit, memo = self.policy.max_affiliations_per_author, self._memo
+        limit, memo, tails = self.policy.max_affiliations_per_author, self._memo, self._tails
+        canonical, looking = _CANONICAL.match, self._looking
+        too_many_affiliations = RejectReason.TOO_MANY_AFFILIATIONS
+        unidentifiable_country = RejectReason.COUNTRY_UNIDENTIFIABLE
         notices, out = [], []
-        number = accepted = too_many = unidentifiable = malformed = 0
-        for number, fields in enumerate(map(_decode_line, lines), 1):
-            if type(fields) is not tuple:
-                if fields is not None:
-                    malformed += 1
-                    if len(notices) < MAX_NOTICES:
-                        notices.append(MalformedRecord(number, fields))
-            elif fields[4] > limit:  # rule 1, on the most affiliations of any author
-                too_many += 1
+        number = accepted = too_many = unidentifiable = malformed = hits = 0
+        for number, line in enumerate(lines, 1):
+            head = looking and type(line) is bytes and canonical(line)
+            tail = line[head.end():] if head else None
+            result = tails.get(tail)
+            if result is not None:
+                try:  # all a hit leaves to check: the head's id decodes and is not blank
+                    if head[1].decode().isspace():
+                        result = None
+                except UnicodeDecodeError:
+                    result = None
+            if result is not None:
+                hits += 1
             else:
-                result = memo.get(fields[3]) or self._render(fields[3])
-                if result is RejectReason.COUNTRY_UNIDENTIFIABLE:
-                    unidentifiable += 1
+                fields = _decode_line(line)
+                if type(fields) is not tuple:
+                    if fields is not None:
+                        malformed += 1
+                        if len(notices) < MAX_NOTICES:
+                            notices.append(MalformedRecord(number, fields))
+                    continue
+                if fields[4] > limit:  # rule 1, on the most affiliations of any author
+                    result = too_many_affiliations
                 else:
-                    accepted += 1
-                    out.append(result)
+                    result = memo.get(fields[3]) or self._render(fields[3])
+                if tail is not None and tail not in tails:
+                    if len(tail) <= self._room:
+                        tails[tail] = result
+                        self._room -= len(tail)
+                    elif self._hits + hits < len(tails):  # full, and hit less than it holds
+                        looking = self._looking = False
+                        tails.clear()
+            if result is too_many_affiliations:
+                too_many += 1
+            elif result is unidentifiable_country:
+                unidentifiable += 1
+            else:
+                accepted += 1
+                out.append(result)
+        self._hits += hits
         return ("".join(out), IngestReport(accepted, too_many, unidentifiable, malformed),
                 notices, number)
 

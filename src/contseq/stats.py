@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,8 +44,11 @@ class RankTable:
 
     entries: tuple[RankEntry, ...]
     total_count: int
+    #: Each entry's rendered sequence, in order, from a caller that rendered
+    #: them already (:meth:`from_counts`); by default they are rendered here.
+    _texts: InitVar[Sequence[str] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _texts):
         if not self.entries:
             raise EmptyInputError("rank table has no entries")
         if self.total_count < 1:
@@ -55,14 +58,15 @@ class RankTable:
         seen: set[str] = set()
         previous: RankEntry | None = None
         previous_text = ""
-        for i, entry in enumerate(self.entries, start=1):
+        if _texts is None:
+            _texts = [render_sequence(entry.sequence) for entry in self.entries]
+        for i, (entry, text) in enumerate(zip(self.entries, _texts), start=1):
             if entry.rank != i:
                 raise ValueError(f"ranks must be dense; expected {i}, got {entry.rank}")
             if entry.count < 1:
                 raise ValueError(f"rank {i}: count must be >= 1")
             if abs(entry.frequency - entry.count / self.total_count) > _FREQ_SUM_TOL:
                 raise ValueError(f"rank {i}: frequency does not match count/total")
-            text = render_sequence(entry.sequence)
             if text in seen:
                 raise ValueError(f"duplicate sequence {text!r}")
             seen.add(text)
@@ -84,12 +88,14 @@ class RankTable:
             if count < 1:
                 raise ValueError(f"count for {render_sequence(sequence)!r} must be >= 1")
         total = sum(counts.values())
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], render_sequence(kv[0])))
+        ordered = sorted(((render_sequence(sequence), sequence, count)
+                          for sequence, count in counts.items()),
+                         key=lambda item: (-item[2], item[0]))
         entries = tuple(
             RankEntry(rank, sequence, count, count / total)
-            for rank, (sequence, count) in enumerate(ordered, start=1)
+            for rank, (_, sequence, count) in enumerate(ordered, start=1)
         )
-        return cls(entries, total)
+        return cls(entries, total, [text for text, _, _ in ordered])
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -92,6 +92,16 @@ class TestRankTable:
         with pytest.raises(ValueError, match="non-increasing"):
             RankTable(swapped, 4)
 
+    def test_from_counts_renders_each_sequence_once(self, monkeypatch):
+        vocabulary = sequence_vocabulary(300)
+        calls = []
+        monkeypatch.setattr("contseq.stats.render_sequence",
+                            lambda sequence: (calls.append(sequence), render_sequence(sequence))[1])
+        table = RankTable.from_counts({s: 1 + k % 7 for k, s in enumerate(vocabulary)})
+        assert len(table) == len(calls) == 300
+        calls.clear()  # built from its entries alone, a table renders them for its checks
+        assert RankTable(table.entries, table.total_count) == table and len(calls) == 300
+
     @given(sequence_counts(), st.randoms())
     def test_permutation_invariant(self, counts, rnd):
         stream = [s for s, n in counts.items() for _ in range(min(n, 5))]
