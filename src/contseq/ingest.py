@@ -17,8 +17,8 @@ Every reader reads a line through one function, ``_decode_line``, which
 decodes and parses it once and walks its authors once, checking them and
 collecting their ids, the set of country labels and the largest affiliation
 count, so neither ``map`` nor ``crawl`` walks a record again (``map``
-does not decode a line at all when it has seen the line's tail before; see
-:class:`SequenceMapper`). Malformed
+does not decode a line at all when it has seen the line's tail before, and
+remembers at most 1 MiB of tails; see :class:`SequenceMapper`). Malformed
 lines, lines that are not valid UTF-8 and lines whose strings hold an
 unpaired surrogate, escaped or raw, never abort a run: they come back as
 :class:`MalformedRecord` notices and are tallied in the :class:`IngestReport`.
@@ -42,7 +42,6 @@ from .model import (Affiliation, AuthorRecord, ContinentSequence, ContinentTable
 
 SCHEMA_VERSION = 1
 MAX_NOTICES = 5  # malformed-line notices SequenceMapper.map_lines returns per call
-_MEMO_SIZE = 1 << 16  # label sets a SequenceMapper remembers
 _scan = json.JSONDecoder().scan_once  # json.loads's own scanner, without its wrappers
 _JSON_SPACE = " \t\n\r"  # the whitespace json allows around a value; str.isspace() allows more
 #: Deepest nesting of arrays and objects a corpus line may hold (a record needs 5). Far below
@@ -127,8 +126,7 @@ def _depth(line: bytes) -> int:
     return max(accumulate(1 if c in b"[{" else -1 for c in brackets), default=0)
 
 
-def _decode_line(line: str | bytes) -> (tuple[str, int, list[str], frozenset, int, list]
-                                        | str | None):
+def _decode_line(line: str | bytes) -> tuple[str, int, list[str], set, int, list] | str | None:
     """A corpus line's ``(pub_id, year, author_ids, labels, most, authors)``
     once every schema check has passed, None if it is blank, else the message
     of the first failed check. One walk over the authors checks them and
@@ -212,7 +210,7 @@ def _decode_line(line: str | bytes) -> (tuple[str, int, list[str], frozenset, in
         author_ids.append(author_id)
         if len(affiliations) > most:
             most = len(affiliations)
-    return pub_id, year, author_ids, frozenset(labels), most, authors
+    return pub_id, year, author_ids, labels, most, authors
 
 
 def _record(fields: tuple | str, line_number: int) -> PublicationRecord | MalformedRecord:
@@ -288,25 +286,25 @@ def filter_record(record: PublicationRecord, policy: ExclusionPolicy,
 class SequenceMapper:
     """The fused ingest: corpus lines straight to the text and report of
     :func:`parse_corpus`, :func:`classify` and :func:`render_sequence`, but
-    with no record built. Rule 2 and the rendering are memoized by the set of
-    a record's raw country labels, for up to ``_MEMO_SIZE`` sets per mapper.
+    with no record built.
 
-    In front of that, a line whose head matches ``_CANONICAL`` (the layout
+    A line whose head matches ``_CANONICAL`` (the layout
     :func:`record_to_json` writes, up to ``"authors":``) looks up its tail,
-    the bytes after that head, line ending included, in a second memo that
-    maps a tail to the line's outcome: its sequence line, or the reject
-    reason of rule 1 or 2. A hit decodes nothing but the head's id, which
-    must be valid UTF-8 and not blank; any other line is decoded whole. Only
-    a canonical line that decoded whole stores its tail, while the tails
-    stored total at most ``_TAIL_BUDGET`` bytes (1 MiB). This pays on a
-    corpus whose records repeat an authors array byte for byte, as ``gen``'s
-    do; on one of distinct author lists nearly every line misses, so a
-    mapper whose memo is full and has been hit fewer times than it holds
-    tails empties it and stops looking."""
+    the bytes after that head, line ending included, in a memo that maps a
+    tail to the line's outcome: its sequence line, or the reject reason of
+    rule 1 or 2. A hit decodes nothing but the head's id, which must be
+    valid UTF-8 and not blank; any other line is decoded whole, and its
+    labels are resolved by the table, whose per-label cache is the only
+    label cache on this path. Only a canonical line that decoded whole stores its
+    tail, while the tails stored total at most ``_TAIL_BUDGET`` bytes
+    (1 MiB), so that is all a mapper holds, however varied the label sets.
+    This pays on a corpus whose records repeat an authors array byte for
+    byte, as ``gen``'s do; on one of distinct author lists nearly every line
+    misses, so a mapper whose memo is full and has been hit fewer times than
+    it holds tails empties it and stops looking."""
 
     def __init__(self, policy: ExclusionPolicy, table: ContinentTable):
         self.policy, self.table = policy, table
-        self._memo: dict[frozenset, str | RejectReason] = {}
         self._tails: dict[bytes, str | RejectReason] = {}
         self._room, self._hits, self._looking = _TAIL_BUDGET, 0, True
 
@@ -315,7 +313,7 @@ class SequenceMapper:
         """The accepted records' sequences, one per line; the report; the
         notices of the first :data:`MAX_NOTICES` malformed lines, numbered
         from 1; and the number of lines read."""
-        limit, memo, tails = self.policy.max_affiliations_per_author, self._memo, self._tails
+        limit, table, tails = self.policy.max_affiliations_per_author, self.table, self._tails
         canonical, looking = _CANONICAL.match, self._looking
         too_many_affiliations = RejectReason.TOO_MANY_AFFILIATIONS
         unidentifiable_country = RejectReason.COUNTRY_UNIDENTIFIABLE
@@ -344,7 +342,10 @@ class SequenceMapper:
                 if fields[4] > limit:  # rule 1, on the most affiliations of any author
                     result = too_many_affiliations
                 else:
-                    result = memo.get(fields[3]) or self._render(fields[3])
+                    try:  # rule 2 is the mapping itself
+                        result = render_sequence(labels_to_sequence(fields[3], table)) + "\n"
+                    except ContractViolationError:
+                        result = unidentifiable_country
                 if tail is not None and tail not in tails:
                     if len(tail) <= self._room:
                         tails[tail] = result
@@ -362,16 +363,6 @@ class SequenceMapper:
         self._hits += hits
         return ("".join(out), IngestReport(accepted, too_many, unidentifiable, malformed),
                 notices, number)
-
-    def _render(self, labels: frozenset) -> str | RejectReason:
-        """The sequence line of a label set, or COUNTRY_UNIDENTIFIABLE."""
-        try:
-            rendered = render_sequence(labels_to_sequence(labels, self.table)) + "\n"
-        except ContractViolationError:
-            rendered = RejectReason.COUNTRY_UNIDENTIFIABLE
-        if len(self._memo) < _MEMO_SIZE:
-            self._memo[labels] = rendered
-        return rendered
 
 
 def record_to_json(record: PublicationRecord) -> str:
