@@ -250,14 +250,13 @@ def cmd_crawl(args) -> int:
         print(f"warning: skipped {malformed} malformed lines", file=sys.stderr)
     result = crawl(store, args.seed_author, policy)
     distances, pruned = result.distances, result.frontier_pruned
-    # by distance, then id: a stable sort of the ids in order
-    by_distance = sorted(distances)
-    by_distance.sort(key=distances.__getitem__)
+    # crawl() lists the authors by distance, then id, and iterates its
+    # publication ids in sorted order
     _write_csv(args.output_dir / "crawl_distances.csv", chain(
-        [("author_id", "distance")], ((author, distances[author]) for author in by_distance)))
+        [("author_id", "distance")], distances.items()))
     _write_csv(args.output_dir / "crawl_pruned.csv", chain(
         [("author_id", "reason")], ((author, pruned[author].value) for author in sorted(pruned))))
-    _write_lines(args.output_dir / "crawl_publications.txt", sorted(result.publication_ids))
+    _write_lines(args.output_dir / "crawl_publications.txt", result.publication_ids)
     print(f"visited {len(distances)} authors ({len(distances) - len(pruned)} expanded, "
           f"{len(pruned)} pruned); collected {len(result.publication_ids)} publications")
     return 0

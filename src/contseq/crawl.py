@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, count
 from pathlib import Path
-from typing import Collection, Iterable, Protocol
+from typing import AbstractSet, Collection, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -71,8 +71,9 @@ class PublicationStore(Protocol):
     ``a in authors_of(p)`` iff ``p in publications_of(a)``, and profiles must
     agree with the publication sets. A client for a live bibliographic API
     would implement this same contract. The id queries may answer with any
-    collection, a list for example: the crawl only iterates them. A
-    :class:`CorpusStore` answers with lists that hold each id once.
+    collection, a list for example: the crawl only iterates them, numbering
+    each id the first time it meets it. A :class:`CorpusStore` answers with
+    lists that hold each id once, and the crawl reads its numbers directly.
     """
 
     def publications_of(self, author_id: str) -> Collection[str]: ...
@@ -101,13 +102,12 @@ Columns = tuple[Blob, np.ndarray, np.ndarray, np.ndarray, Blob, int]
 #: grows with how many do: for k distinct ids of one digest, the build's
 #: merge makes about k rounds and each lookup compares up to k ids' bytes.
 _digest = zlib.crc32
-_CHUNK = 1 << 16  # pairs of ids that _same compares, or rows _gathered copies, at once
+_CHUNK = 1 << 16  # ids that _same or _in_order reads, or rows _gathered copies, at once
 _LOW = 0xFFFFFFFF
 #: A finished column is kept in 4 bytes per entry when its values fit: offsets
 #: below this limit as ``uint32``, years within half of it either side of 0
 #: as ``int32``. Otherwise it stays in 8 bytes.
 _LIMIT = 1 << 32
-_NO_ANSWER = ((), ())
 
 
 def _numbering() -> defaultdict:
@@ -209,6 +209,45 @@ def _pairs(keys: np.ndarray) -> np.ndarray:
     return pairs
 
 
+def _in_order(data: np.ndarray, offsets: np.ndarray, order: np.ndarray) -> None:
+    """Sort ``order``, the ``uint32`` numbers of distinct ids (the bytes of
+    ``data`` between ``offsets``), in place by the ids' bytes: for UTF-8,
+    code-point order, as ``sorted`` sorts them.
+
+    Each round sorts the ids that tie on the bytes before it by their next
+    three bytes, padded with zeros, then by how many of the three they
+    have, so an id comes before its extensions, zero bytes included; ids
+    that still tie go round again. The keys are built a chunk at a time, so
+    the temporaries take under 30 bytes per id, however long the ids are."""
+    at = np.arange(len(order), dtype=np.uint32)  # the positions still tied, run by run
+    keys = np.zeros(len(order), dtype=np.uint64)  # the first position of each one's run << 32
+    depth = 0
+    while len(at) > 1:  # one id alone, or none, is in order (and may have no bytes)
+        for chunk in range(0, len(at), _CHUNK):
+            ids = order[at[chunk:chunk + _CHUNK]]
+            starts = offsets[ids] + depth
+            left = offsets[ids + 1] - starts
+            key = np.minimum(left, 3).astype(np.uint64)
+            for k in range(3):
+                byte = data.take(starts + k, mode="clip") * (left > k)
+                key |= byte.astype(np.uint64) << np.uint64(24 - 8 * k)
+            keys[chunk:chunk + _CHUNK] |= key
+        sort = np.argsort(keys)
+        keys.sort()
+        sort = at[sort]
+        order[at] = order[sort]  # each run keeps its positions
+        del sort
+        # tied with the one before: the same run, then the same three bytes
+        tied = np.concatenate(([False], (keys[1:] == keys[:-1]) & (keys[1:].astype(np.uint8) == 3)))
+        del keys
+        member = tied.copy()
+        member[:-1] |= tied[1:]
+        runs = np.where(tied, 0, at)
+        np.maximum.accumulate(runs, out=runs)
+        at, keys, depth = at[member], runs[member].astype(np.uint64), depth + 3
+        keys <<= np.uint64(32)
+
+
 def _firsts(ids: Blob) -> np.ndarray:
     """For each id, the index of the first id with the same bytes.
 
@@ -287,6 +326,17 @@ class _Ids:
         return [str(data[offsets[n]:offsets[n + 1]], "utf-8", "surrogatepass")
                 for n in numbers]
 
+    def marks(self) -> bytearray:
+        """A zero mark per number."""
+        return bytearray(len(self))
+
+    def ordered(self, marks: bytearray) -> Iterator[str]:
+        """The ids of the marked numbers, sorted, decoded a chunk at a time."""
+        order = np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)).astype(np.uint32)
+        _in_order(np.frombuffer(self._data, dtype=np.uint8), np.asarray(self._offsets), order)
+        for chunk in range(0, len(order), _CHUNK):
+            yield from self.decoded(order[chunk:chunk + _CHUNK].tolist())
+
 
 class CorpusStore:
     """In-memory :class:`PublicationStore` indexed from publication records.
@@ -304,9 +354,9 @@ class CorpusStore:
     when every one fits; otherwise a column is 8 bytes wide. The index
     costs the cyclic garbage collector nothing. An author listed twice in
     one record counts once. An id query answers with a list of one row's
-    ids, each id once; a profile is built on demand.
-    :meth:`authors_of` skips the lookup for an id object that the last
-    :meth:`publications_of` answer listed, asked for in that answer's order.
+    ids, each id once; a profile is built on demand. :func:`crawl` asks
+    the same questions by number, so it looks up only its seed and decodes
+    only the author ids it sorts and the publication ids it writes.
 
     Range workers return each range's ids as blobs, and the build merges
     them with numpy alone: equal digests next to each other under a stable
@@ -320,8 +370,6 @@ class CorpusStore:
 
     duplicates_skipped = 0  # records from_file skipped for a repeated publication id
     malformed_skipped = 0  # malformed lines from_file skipped
-    # the last publications_of answer and its numbers, until authors_of passes it
-    _answer, _cursor = _NO_ANSWER, 0
 
     def __init__(self, records: Iterable[PublicationRecord]):
         _, duplicate, _ = self._index([_columns(
@@ -424,66 +472,123 @@ class CorpusStore:
             read_ranges(path, _file_columns))
         return store
 
+    # The numbered queries crawl() asks, of _authors and _pubs too;
+    # _Numbering asks them of any store.
+
     def _author(self, author_id: str) -> int:
         a = self._authors.number(author_id)
         if a is None:
             raise UnknownAuthorError(f"unknown author {author_id!r}")
         return a
 
-    def publications_of(self, author_id: str) -> list[str]:
-        a = self._author(author_id)
-        offsets = self._author_offsets
-        numbers = self._author_members[offsets[a]:offsets[a + 1]]
-        ids = self._pubs.decoded(numbers)
-        # a copy: the caller may reorder the list it gets
-        self._answer, self._cursor = (tuple(ids), numbers), 0
-        return ids
-
-    def authors_of(self, pub_id: str) -> list[str]:
-        p = self._answered(pub_id)
-        if p is None:
-            p = self._pubs.number(pub_id)
-            if p is None:
-                raise UnknownPublicationError(f"unknown publication {pub_id!r}")
-        offsets = self._pub_offsets
-        return self._authors.decoded(self._pub_members[offsets[p]:offsets[p + 1]])
-
-    def _answered(self, pub_id: str) -> int | None:
-        """The number of ``pub_id`` if the last :meth:`publications_of`
-        answer lists this very object at or after the cursor, else None.
-
-        A crawl asks for the authors of an answer's publications in the
-        order it got them, so the walk from the cursor is short and the
-        lookup is skipped. A miss, or a match at the end, drops the answer,
-        so a caller that asks in any other order pays one walk per answer."""
-        (ids, numbers), start = self._answer, self._cursor
-        for at in range(start, len(ids)):
-            if ids[at] is pub_id:
-                if at + 1 < len(ids):
-                    self._cursor = at + 1
-                else:
-                    self._answer = _NO_ANSWER
-                return numbers[at]
-        self._answer = _NO_ANSWER
-        return None
-
-    def profile(self, author_id: str) -> AuthorProfile:
-        a = self._author(author_id)
+    def _profile(self, a: int, author_id: str) -> AuthorProfile:
         offsets = self._author_offsets
         return AuthorProfile(author_id, offsets[a + 1] - offsets[a], self._last_years[a])
 
+    def _pubs_of(self, a: int) -> memoryview:
+        offsets = self._author_offsets
+        return self._author_members[offsets[a]:offsets[a + 1]]
+
+    def _authors_in(self, p: int) -> memoryview:
+        offsets = self._pub_offsets
+        return self._pub_members[offsets[p]:offsets[p + 1]]
+
+    def publications_of(self, author_id: str) -> list[str]:
+        return self._pubs.decoded(self._pubs_of(self._author(author_id)))
+
+    def authors_of(self, pub_id: str) -> list[str]:
+        p = self._pubs.number(pub_id)
+        if p is None:
+            raise UnknownPublicationError(f"unknown publication {pub_id!r}")
+        return self._authors.decoded(self._authors_in(p))
+
+    def profile(self, author_id: str) -> AuthorProfile:
+        return self._profile(self._author(author_id), author_id)
+
     def author_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._authors.decoded(range(len(self._authors)))))
+        return tuple(self._authors.ordered(bytearray(b"\1") * len(self._authors)))
 
     def publication_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._pubs.decoded(range(len(self._pubs)))))
+        return tuple(self._pubs.ordered(bytearray(b"\1") * len(self._pubs)))
+
+
+class _Met(dict):
+    """Ids numbered as they are met (id -> number), with each number's id in
+    ``ids``; it answers as :class:`_Ids` does, and its marks grow with it."""
+
+    number = dict.get
+
+    def __init__(self):
+        self.ids, self._marks = [], bytearray()
+
+    def __missing__(self, id_: str) -> int:
+        self[id_] = len(self.ids)
+        self.ids.append(id_)
+        self._marks.append(0)
+        return self[id_]
+
+    def decoded(self, numbers: Iterable[int]) -> list[str]:
+        return [self.ids[n] for n in numbers]
+
+    def marks(self) -> bytearray:
+        return self._marks
+
+    def ordered(self, marks: bytearray) -> Iterator[str]:
+        return iter(sorted(id_ for id_, mark in zip(self.ids, marks) if mark))
+
+
+class _Numbering:
+    """Any :class:`PublicationStore`, asked by number as :func:`crawl` asks
+    a :class:`CorpusStore`, numbering each id the first time an answer
+    holds it."""
+
+    def __init__(self, store: PublicationStore):
+        self._store, self._authors, self._pubs = store, _Met(), _Met()
+
+    def _author(self, author_id: str) -> int:
+        self._store.profile(author_id)  # raises for an unknown author
+        return self._authors[author_id]
+
+    def _profile(self, a: int, author_id: str) -> AuthorProfile:
+        return self._store.profile(author_id)
+
+    def _pubs_of(self, a: int) -> list[int]:
+        return [*map(self._pubs.__getitem__, self._store.publications_of(self._authors.ids[a]))]
+
+    def _authors_in(self, p: int) -> list[int]:
+        return [*map(self._authors.__getitem__, self._store.authors_of(self._pubs.ids[p]))]
+
+
+class _Collected(AbstractSet[str]):
+    """The publications a crawl collected, as a read-only set of ids: a
+    mark per publication number, iterated in sorted order and decoded on
+    the way."""
+
+    _from_iterable = frozenset  # what &, | and - answer with
+
+    def __init__(self, ids: _Ids | _Met, marks: bytearray):
+        self._ids, self._marks, self._len = ids, marks, marks.count(1)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, pub_id) -> bool:
+        p = self._ids.number(pub_id)
+        return p is not None and self._marks[p] == 1
+
+    def __iter__(self) -> Iterator[str]:
+        return self._ids.ordered(self._marks)
 
 
 @dataclass
 class CrawlResult:
+    """``distances`` lists the authors in the order the crawl visited them:
+    by distance, then by id. ``publication_ids`` is a read-only set of
+    ids; a crawl's set iterates in sorted order."""
+
     seed: str
     distances: dict[str, int]
-    publication_ids: set[str]
+    publication_ids: AbstractSet[str]
     frontier_pruned: dict[str, PruneReason] = field(default_factory=dict)
 
 
@@ -505,39 +610,45 @@ def crawl(store: PublicationStore, seed: str,
 
     Every discovered author is recorded at their minimal distance over the
     expanded subgraph. Each BFS layer is processed in sorted author-id order,
-    so results are fully deterministic. Raises
+    so results are fully deterministic. The crawl keeps numbers, not ids: a
+    :class:`CorpusStore` answers by number, any other store through
+    :class:`_Numbering`. Raises
     :class:`~contseq.errors.UnknownAuthorError` when the seed is not in the
     store; store failures propagate.
     """
     if policy is None:
         policy = CrawlPolicy()
-    store.profile(seed)  # seed must exist
-    distances: dict[str, int] = {seed: 0}
+    numbered = store if isinstance(store, CorpusStore) else _Numbering(store)
+    layer = [numbered._author(seed)]  # seed must exist
+    reached, collected = numbered._authors.marks(), numbered._pubs.marks()
+    reached[layer[0]] = 1
+    distances: dict[str, int] = {}
     pruned: dict[str, PruneReason] = {}
-    # Until the last layer, the expanded authors' publications. A publication's
-    # first listing reaches each co-author at the least distance.
-    publications: set[str] = set()
-    frontier = [seed]
-    while frontier:
-        next_frontier: list[str] = []
-        for author in sorted(frontier):
-            distance = distances[author]
+    pruned_numbers: list[int] = []
+    distance = 0
+    while layer:
+        next_layer: list[int] = []
+        for author, a in sorted(zip(numbered._authors.decoded(layer), layer)):
+            distances[author] = distance
             # the seed is exempt from all criteria (fixed by construction)
-            reason = None if author == seed else prune_reason(
-                store.profile(author), distance, policy)
+            reason = None if distance == 0 else prune_reason(
+                numbered._profile(a, author), distance, policy)
             if reason is not None:
                 pruned[author] = reason
+                pruned_numbers.append(a)
                 continue
-            for pub_id in store.publications_of(author):
-                if pub_id in publications:
+            # a publication's first listing reaches each co-author at the least distance
+            for p in numbered._pubs_of(a):
+                if collected[p]:
                     continue
-                publications.add(pub_id)
-                for coauthor in store.authors_of(pub_id):
-                    if coauthor not in distances:
-                        distances[coauthor] = distance + 1
-                        next_frontier.append(coauthor)
-        frontier = next_frontier
+                collected[p] = 1
+                for c in numbered._authors_in(p):
+                    if not reached[c]:
+                        reached[c] = 1
+                        next_layer.append(c)
+        layer, distance = next_layer, distance + 1
     if policy.collect_pruned_publications:
-        for author in pruned:
-            publications.update(store.publications_of(author))
-    return CrawlResult(seed, distances, publications, pruned)
+        for a in pruned_numbers:
+            for p in numbered._pubs_of(a):
+                collected[p] = 1
+    return CrawlResult(seed, distances, _Collected(numbered._pubs, collected), pruned)

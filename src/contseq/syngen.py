@@ -30,6 +30,9 @@ _DRAWS_PER_CHUNK = 1 << 16  # type indices sampled at once; bounds gen's memory
 _FIRST_YEAR, _YEARS = 2015, 9  # publication i is from _FIRST_YEAR + i % _YEARS
 _IDS_PER_BLOCK = 10_000  # publication i's id is _ID_PREFIX % (i // 10_000) and i % 10_000 in 4 digits
 _ID_PREFIX = b"syn-%04d"
+#: The largest vocabulary a spec may ask for: the vocabulary is built whole
+#: before the first record, at about 470 bytes a type.
+MAX_VOCABULARY = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,8 +43,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vocabulary_size < 1:
-            raise ValueError("vocabulary_size must be >= 1")
+        if not 1 <= self.vocabulary_size <= MAX_VOCABULARY:
+            raise ValueError(f"vocabulary_size must be between 1 and {MAX_VOCABULARY:,} "
+                             f"(MAX_VOCABULARY), got {self.vocabulary_size:,}")
         if self.corpus_size < 0:
             raise ValueError("corpus_size must be >= 0")
         if not self.exponent > 0:

@@ -37,3 +37,13 @@ def test_traced_run_succeeds(command, corpus, tmp_path):
                     "--traced"], env=env, capture_output=True, timeout=300, check=True)
     result = json.loads((tmp_path / "traced.json").read_text())
     assert result["exit_codes"] and set(result["exit_codes"]) == {0}, result
+    if command == "crawl":
+        # the traced counts are len() of the CrawlResult's fields: they must
+        # match the rows the same run wrote (headers excluded)
+        metrics, out = result["metrics"], tmp_path / "traced"
+        rows = {name: len((out / name).read_text(encoding="utf-8").splitlines()) for name in
+                ("crawl_distances.csv", "crawl_pruned.csv", "crawl_publications.txt")}
+        assert metrics["crawl.authors_visited"] == rows["crawl_distances.csv"] - 1, rows
+        assert metrics["crawl.authors_pruned"] == rows["crawl_pruned.csv"] - 1, rows
+        assert metrics["crawl.publications_collected"] == rows["crawl_publications.txt"] > 0
+        assert metrics["crawl.store_queries"] > 0

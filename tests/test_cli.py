@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import islice
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from contseq.cli import main
 from contseq.ingest import write_corpus
 from contseq.model import ContinentTable
 from contseq.stats import read_heap_file
-from contseq.syngen import SyntheticSpec, corpus_chunks, iter_corpus
+from contseq.syngen import MAX_VOCABULARY, SyntheticSpec, corpus_chunks, iter_corpus
 from golden import GOLDEN_RANK_LINES, fixture_sequences
 from helpers import coauthored, record
 from test_crawl import DATA, _bench_module
@@ -249,6 +250,21 @@ class TestGenCommand:
 
     def test_gen_bad_spec_exits_1(self, tmp_path):
         assert main(["gen", "--output-dir", str(tmp_path), "--vocab", "0"]) == 1
+
+    def test_gen_vocab_above_the_cap_fails_fast(self, tmp_path, capsys):
+        """The vocabulary is built whole, so a huge ``--vocab`` is refused
+        before anything is built or written."""
+        assert SyntheticSpec(MAX_VOCABULARY, 1.9, 0).vocabulary_size == MAX_VOCABULARY
+        # checked first: without the cap, the command below would take gigabytes
+        with pytest.raises(ValueError, match="MAX_VOCABULARY"):
+            SyntheticSpec(MAX_VOCABULARY + 1, 1.9, 0)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["gen", "--output-dir", str(out), "--vocab", "100000000", "--size", "10"]) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "1,000,000" in err[0], err
+        assert "MAX_VOCABULARY" in err[0] and not out.exists()
 
     def test_gen_and_write_corpus_match_the_pinned_corpus(self, tmp_path):
         # sha256 of this gen's corpus.jsonl when gen still serialized every record

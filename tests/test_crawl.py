@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import contseq.files as files
 from contseq.cli import main
 from contseq.crawl import (AuthorProfile, CorpusStore, CrawlPolicy,
-                           PruneReason, _Ids, crawl, prune_reason)
+                           PruneReason, _Ids, _blob, crawl, prune_reason)
 from contseq.errors import ContseqError, UnknownAuthorError, UnknownPublicationError
 from contseq.ingest import MalformedRecord, parse_corpus, write_corpus
 from contseq.syngen import SyntheticSpec, iter_corpus
@@ -320,6 +320,19 @@ def test_store_keeps_unusual_ids(kind, tmp_path):
                 store.authors_of(absent)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from("\0ab\x7f\x80é😀\ud800\U0010ffff"), max_size=12),
+                unique=True), st.randoms(use_true_random=False))
+def test_ids_sort_in_code_point_order(ids, rng):
+    """Ids sort by their UTF-8 bytes, a few bytes a round, which is the
+    order of ``sorted``: an id before its extensions (by zero bytes too),
+    unpaired surrogates among the rest, for all ids or any marked few."""
+    kind = _Ids(_blob(ids))
+    assert list(kind.ordered(bytearray(b"\1") * len(ids))) == sorted(ids)
+    marks = bytearray(rng.randint(0, 1) for _ in ids)
+    assert list(kind.ordered(marks)) == sorted(i for i, mark in zip(ids, marks) if mark)
+
+
 @pytest.mark.parametrize("digest", [len, lambda data: 7], ids=["length", "constant"])
 def test_ids_whose_digests_collide_are_told_apart(digest, tmp_path, monkeypatch):
     """Real ids seldom share a digest, so the byte comparison that tells
@@ -410,22 +423,58 @@ def test_wide_columns_agree_with_oracle(digest, tmp_path, monkeypatch):
 
 
 def test_gen_crawl_looks_up_no_publication(tmp_path, monkeypatch):
-    """A crawl asks for the authors of each answer's publications in the
-    answer's order, so the store finds each one in that answer and never
-    looks a publication id up."""
+    """A crawl asks a CorpusStore by number: it looks up no publication id
+    (only its seed's id), and it decodes no publication id until its
+    publication ids are written."""
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(iter_corpus(SyntheticSpec(50, 1.9, 2000, seed=3)), corpus)
     store = CorpusStore.from_file(corpus)
-    lookups, asked, number = Counter(), Counter(), _Ids.number
-    monkeypatch.setattr(_Ids, "number", lambda ids, id_: lookups.update(
-        ["pub" if ids is store._pubs else "author"]) or number(ids, id_))
-    authors_of = store.authors_of
-    monkeypatch.setattr(store, "authors_of", lambda pub: asked.update([pub]) or authors_of(pub))
+    calls = Counter()
+
+    def counting(name):
+        method = getattr(_Ids, name)
+        return lambda ids, arg: calls.update(
+            [(name, "pub" if ids is store._pubs else "author")]) or method(ids, arg)
+
+    monkeypatch.setattr(_Ids, "number", counting("number"))
+    monkeypatch.setattr(_Ids, "decoded", counting("decoded"))
     result = crawl(store, "s00001-a01", OPEN)
+    assert calls[("number", "author")] == 1 and calls[("decoded", "author")] > 0
+    assert calls[("number", "pub")] == calls[("decoded", "pub")] == 0
+    written = list(result.publication_ids)
     monkeypatch.undo()
-    assert len(asked) > 500 and lookups["author"] > 0 and lookups["pub"] == 0
+    assert calls[("number", "pub")] == 0 and calls[("decoded", "pub")] > 0
     oracle = OracleStore(item for item in parse_corpus(corpus))
-    assert result == oracle_crawl(oracle, "s00001-a01", OPEN)
+    expected = oracle_crawl(oracle, "s00001-a01", OPEN)
+    assert len(written) > 500 and written == sorted(expected.publication_ids)
+    assert result == expected
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(store_lines(), max_size=25), st.sampled_from(AUTHOR_IDS))
+def test_adapter_crawls_as_the_store_does(lines, seed):
+    """A crawl of any PublicationStore (here the oracle, numbered as the
+    crawl meets its ids) equals the crawl of a CorpusStore of that corpus:
+    distances in visiting order, prune reasons and publication ids in
+    sorted order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_bytes(b"".join(line + b"\n" for line in lines))
+        store = CorpusStore.from_file(corpus)
+        oracle = OracleStore(item for item in parse_corpus(corpus)
+                             if not isinstance(item, MalformedRecord))
+    for policy in (OPEN, CrawlPolicy(), CrawlPolicy(collect_pruned_publications=False)):
+        if seed not in oracle.author_ids():
+            for either in (store, oracle):
+                with pytest.raises(UnknownAuthorError):
+                    crawl(either, seed, policy)
+            continue
+        got, want = crawl(store, seed, policy), crawl(oracle, seed, policy)
+        assert list(got.distances.items()) == list(want.distances.items())
+        assert got.frontier_pruned == want.frontier_pruned
+        assert list(got.publication_ids) == list(want.publication_ids)
+        assert list(got.publication_ids) == sorted(got.publication_ids)
+        assert got == want == oracle_crawl(oracle, seed, policy)
 
 
 def test_authors_of_after_an_answer_agrees_with_oracle():
