@@ -13,14 +13,18 @@ The corpus file format is line-delimited JSON, one publication per line:
 ``country`` may be omitted (or null) when the source data does not identify
 one; such records are later rejected as country-unidentifiable rather than
 malformed. Unknown extra fields are ignored. Blank lines are skipped.
-Every reader reads a line through one function, ``_decode_line``, which
-decodes and parses it once and walks its authors once, checking them and
-collecting their ids, the set of country labels and the largest affiliation
-count, so neither ``map`` nor ``crawl`` walks a record again (``map``
-does not decode a line at all when it has seen the line's tail before, and
-remembers at most 1 MiB of tails; see :class:`SequenceMapper`). Malformed
-lines, lines that are not valid UTF-8 and lines whose strings hold an
-unpaired surrogate, escaped or raw, never abort a run: they come back as
+The one schema check is ``_decode_line``, which decodes and parses a line
+once and walks its authors once, checking them and collecting their ids, the
+set of country labels and the largest affiliation count, so neither ``map``
+nor ``crawl`` walks a record again. Two readers skip it for lines it would
+accept: ``map`` does not decode a line at all when it has seen the line's
+tail before, and remembers at most 1 MiB of tails (see
+:class:`SequenceMapper`); ``crawl``'s :func:`store_fields` reads a line in
+:func:`record_to_json`'s layout with one compiled grammar, ``_RECORD``,
+which takes only lines that ``_decode_line`` accepts, and hands it every
+other line. Either way a line gets the outcome ``_decode_line`` gives it.
+Malformed lines, lines that are not valid UTF-8 and lines whose strings hold
+an unpaired surrogate, escaped or raw, never abort a run: they come back as
 :class:`MalformedRecord` notices and are tallied in the :class:`IngestReport`.
 """
 
@@ -49,14 +53,35 @@ _JSON_SPACE = " \t\n\r"  # the whitespace json allows around a value; str.isspac
 MAX_DEPTH = 500
 _STRING = re.compile(rb'"(?:[^"\\]+|\\.)*"?', re.S)  # a JSON string, or an unterminated rest
 _NOT_BRACKET = re.compile(rb"[^][{}]+")
+_HEAD_TEXT = '{"schema_version":1,"id":"'  # how every line in record_to_json's layout starts
+_HEAD = _HEAD_TEXT.encode()
+_YEAR = "-?(?:0|[1-9][0-9]{0,17})"  # a year of at most 18 digits, written as json writes it
 #: The head of a line in :func:`record_to_json`'s layout, up to the authors
 #: value: an id with no escape or control byte and a year of at most 18 digits.
 #: json's parser is in one state after any head this matches, so the rest of
 #: the line, its tail, alone decides the line's outcome, given an id that
 #: decodes and is not blank.
 _CANONICAL = re.compile(
-    rb'\{"schema_version":1,"id":"([^"\\\x00-\x1f]+)","year":-?(?:0|[1-9][0-9]{0,17}),"authors":')
+    (re.escape(_HEAD_TEXT) + r'([^"\\\x00-\x1f]+)","year":' + _YEAR + ',"authors":').encode())
 _TAIL_BUDGET = 1 << 20  # bytes of tails a SequenceMapper remembers
+# Each quantified part of the grammar below is followed by a character it cannot
+# match, so a line the grammar does not take fails in time linear in its length.
+_CHAR = r'[^"\\\x00-\x1f]'  # a string character json reads as itself
+# a string that is not blank: its first character that is not whitespace
+# (re's \s is str.isspace()) is none of json's control characters
+_NAME = rf'[^\S\x00-\x1f]*[^"\\\x00-\x1f\s]{_CHAR}*'
+_AFFILIATION = rf'\{{"institution":"{_NAME}"(?:,"country":"{_CHAR}*")?\}}'
+_AUTHOR = rf'\{{"author_id":"{_NAME}","affiliations":\[{_AFFILIATION}(?:,{_AFFILIATION})*\]\}}'
+#: A whole line in :func:`record_to_json`'s layout that :func:`_decode_line`
+#: accepts: no string holds an escape or a control character, the id, each
+#: author id and each institution is not blank, the year is written as in
+#: ``_CANONICAL``, and only JSON whitespace follows the record. Its groups are
+#: the id and the year.
+_RECORD = re.compile(
+    rf'{re.escape(_HEAD_TEXT)}({_NAME})","year":({_YEAR}),'
+    rf'"authors":\[{_AUTHOR}(?:,{_AUTHOR})*\]\}}[ \t\n\r]*')
+#: An author id in a line ``_RECORD`` matches, whose strings hold no ``"``.
+_AUTHOR_ID = re.compile(r'"author_id":"([^"]*)"')
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,8 +273,23 @@ def parse_corpus(source: Source) -> Iterator[PublicationRecord | MalformedRecord
 def store_fields(lines: Iterable[bytes]) -> Iterator[tuple[str, int, list[str]] | str]:
     """Stream the ``(pub_id, year, author_ids)`` of each record that
     :func:`parse_corpus` would yield for ``lines``, or the message of its
-    malformed line, in input order, but build no record."""
-    for fields in map(_decode_line, lines):
+    malformed line, in input order, but build no record.
+
+    A line that starts with ``_HEAD`` and decodes as UTF-8 is first tried
+    against ``_RECORD``, whose match gives those fields; every other line
+    goes to :func:`_decode_line` unchanged, so it gets that function's
+    fields or message."""
+    record, author_ids = _RECORD.fullmatch, _AUTHOR_ID.findall
+    for line in lines:
+        if line.startswith(_HEAD):
+            try:
+                match = record(line.decode())
+            except UnicodeDecodeError:  # _decode_line words the message
+                match = None
+            if match:
+                yield match[1], int(match[2]), author_ids(match.string)
+                continue
+        fields = _decode_line(line)
         if type(fields) is tuple:
             yield fields[:3]
         elif fields is not None:

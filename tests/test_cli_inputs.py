@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import contseq
 from contseq.cli import main
-from contseq.ingest import parse_corpus, record_to_json
+from contseq.ingest import _decode_line, parse_corpus, record_to_json
 from helpers import coauthored
 
 GOOD_RECORD = record_to_json(coauthored("p1", ["A", "B"])).encode() + b"\n"
@@ -490,6 +490,67 @@ def test_map_partitions_arbitrary_bytes(lines):
         assert len(list(parse_corpus(corpus))) == non_blank
     assert report["total"] == non_blank
     assert code == (0 if report["accepted"] else 2)
+
+
+#: A canonical corpus: A's co-authors and theirs, and a record without a country.
+FUZZ_CORPUS = b"".join(record_to_json(record).encode() + b"\n" for record in [
+    coauthored("p1", ["A", "B"]), coauthored("p2", ["B", "C"], country="Japan"),
+    coauthored("p3", ["A", "C", "D"], year=2019), coauthored("p4", ["D", "E"], country=None)])
+#: Tokens to insert: invalid UTF-8, a BOM, CR, NUL, deep nesting, surrogates
+#: (escaped and raw), an overflowing float, NaN and a 20-digit integer.
+FUZZ_TOKENS = [b"\xff", codecs.BOM_UTF8, b"\r", b"\x00", b"[" * 600, b"\\ud800", b"\xed\xa0\x80",
+               b"1e999", b"nan", b"99999999999999999999"]
+
+
+@st.composite
+def mutated_corpora(draw):
+    """``FUZZ_CORPUS`` truncated, with bytes deleted or flipped, a row
+    duplicated or a token inserted, one to four times."""
+    data = bytearray(FUZZ_CORPUS)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["truncate", "delete", "flip", "duplicate", "insert"]))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if kind == "truncate":
+            del data[at:]
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        elif kind == "flip" and data:
+            data[at] ^= draw(st.integers(1, 255))
+        elif kind == "duplicate":
+            rows = io.BytesIO(data).readlines()
+            if rows:
+                row = draw(st.integers(0, len(rows) - 1))
+                data = bytearray(b"".join(rows[:row + 1] + rows[row:]))
+        else:
+            data[at:at] = draw(st.sampled_from(FUZZ_TOKENS))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_corpora())
+def test_mutated_corpus_fails_cleanly(data):
+    """``crawl`` and ``map`` on a mutated corpus exit 0-3 with no traceback
+    and one ``error:`` line when they fail; ``crawl`` counts the malformed
+    lines that ``_decode_line`` finds."""
+    malformed = sum(type(fields) is str for fields in map(_decode_line, io.BytesIO(data)))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_bytes(data)
+        for command in (CRAWL, MAP):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([*command, str(corpus), "--output-dir", str(Path(tmp) / command[0])])
+            err = err.getvalue()
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, err
+            errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+            if code == 0 or (code == 2 and command is MAP):  # no error raised
+                assert errors == [], err
+            else:
+                assert len(errors) == 1 and errors[0].startswith("error: "), err
+            if command is CRAWL:
+                assert [line for line in err.splitlines() if "malformed" in line] == (
+                    [f"warning: skipped {malformed} malformed lines"] if malformed else []), err
 
 
 #: (command up to the file argument, what the named pipe holds, the error

@@ -2,18 +2,23 @@
 line the scanner does not take whole to ``json.loads``. It must agree with a
 decoder that calls ``json.loads`` on every line, on the running Python, with
 json's C scanner and with its pure-Python one, and a clean line must not
-reach ``json.loads``."""
+reach ``json.loads``. ``ingest.store_fields`` tries a compiled grammar on a
+line in ``record_to_json``'s layout before ``_decode_line``: it must yield
+what ``_decode_line`` gives for any line."""
 
 import json
 import json.scanner
+import re
+import sys
+import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from contseq import files, ingest
 from contseq.ingest import (ExclusionPolicy, SequenceMapper, _decode_line, _depth,
-                            record_to_json)
+                            record_to_json, store_fields)
 from contseq.model import default_table
 from contseq.syngen import SyntheticSpec, corpus_chunks
 from strategies import publication_records
@@ -182,3 +187,220 @@ def test_only_nesting_outside_strings_counts(monkeypatch):
     assert _decode_line(quoted)[0] == "p1" and scanned == [quoted.encode()]
     unterminated = '{"x": "' + "[" * 600
     assert _decode_line(unterminated).startswith("invalid JSON: Unterminated string")
+
+
+# ---------------------------------------------------------------------------
+# ``store_fields`` (crawl's reader) tries the compiled grammar ``_RECORD``
+# first and hands every line it does not take to ``_decode_line``.
+
+def by_decode_line(lines):
+    """What :func:`store_fields` must yield for ``lines``: ``_decode_line``'s
+    fields or message for each line that is not blank."""
+    return [f[:3] if type(f) is tuple else f for f in map(_decode_line, lines) if f is not None]
+
+
+def quoted(text: str) -> str:
+    return '"' + text + '"'
+
+
+#: Strings json reads as themselves that are not blank, some with raw
+#: whitespace (U+3000, U+2028, U+0085, U+00A0) around or inside them.
+NAMES = ["p1", "a1", "a2", "inst", "\u00e9t\u00e9", "x\x7fy", " a", "b ", "\u3000c",
+         "\u2028d", "\u0085e", "\u00a0f", "g\u3000h"]
+#: Blank strings: every character is one str.isspace() accepts.
+BLANKS = ["", " ", "\u3000", "\u2028", "\u0085", "\u00a0", " \u3000\u2028 ", "\x1f", "\t"]
+#: Characters json must escape; raw, each makes its line malformed.
+NEEDS_ESCAPE = ['q"q', "b\\s", "t\tt", "a\x1fb", "c\x00", "d\x0c", "\x1c e", "f\n"]
+#: A placeholder for bytes that are not UTF-8, which replace it in the line.
+BAD, INVALID_UTF8 = "\ue000", [b"\xff", b"\xed\xa0\x80", b"\xc3(", b"\xe3\x80"]
+#: Texts for a string slot: raw strings, strings spelled with escapes (which
+#: json reads and the grammar does not), and one holding invalid UTF-8.
+STRING_TEXTS = ([quoted(s) for s in NAMES + BLANKS + NEEDS_ESCAPE + ["i" + BAD + "j"]]
+                + [json.dumps(s) for s in NEEDS_ESCAPE + ["\u00e9t\u00e9", "\u3000c", "\u3000"]]
+                + ['"\\u0070"', '"\\/"', '"\\ud800"', "7", "null", '["a1"]'])
+#: Texts for an author id that add a key to its object, or repeat one.
+AUTHOR_KEYS = ['"a1","x":1', '"a1","author_id":"a9"', '"a1","author_id":" "']
+#: Texts for a country (None: no country), some adding or repeating a key.
+COUNTRY_TEXTS = [None, '"Poland"', '"  "', '""', "null", "1", '["Poland"]', "{}", '"\\u3000"',
+                 '"Poland","x":1', '"Poland","country":"Japan"', '"Poland","country":7',
+                 '"Poland","institution":""']
+#: Texts for the other parts of a line.
+FIELD_TEXTS = {
+    "year": ["-0", "9" * 18, "1" + "0" * 18, "7" * 5000, "01", "2020.0", "1e3", '"2020"',
+             "true", "-"],
+    "end": ["", "\r\n", " \n", "\x0c\n", " \t\r\n", "\u2028\n", " x\n", "{}\n", ",\n"],
+    "extra": [',"x":1', ',"id":"p9"', ',"id":""', ',"year":2021', ',"year":"x"', ',"authors":[]',
+              ',"schema_version":2', ',"schema_version":1'],
+    "start": ["\ufeff", " ", "\t"],
+    "year_last": [True],
+}
+
+
+def _clean():
+    """The parts of a clean line, one that takes the grammar."""
+    return {"id": '"p1"', "year": "2020", "authors": [
+        ['"a1"', [['"inst"', '"Poland"'], ['"i2"', None]]], ['"a2"', [['"i3"', '"  "']]]],
+        "extra": "", "year_last": False, "end": "\n", "start": ""}
+
+
+def _slots(record):
+    """The (container, key) of every string slot of a line's parts."""
+    slots = [(record, "id")]
+    for author in record["authors"]:
+        slots.append((author, 0))
+        slots.extend((affiliation, 0) for affiliation in author[1])
+    return slots
+
+
+def _render(record) -> str:
+    authors = ",".join('{"author_id":%s,"affiliations":[%s]}' % (author_id, ",".join(
+        '{"institution":%s%s}' % (institution, "" if country is None else ',"country":' + country)
+        for institution, country in affiliations)) for author_id, affiliations in record["authors"])
+    year = ',"year":' + record["year"]
+    return (record["start"] + '{"schema_version":1,"id":' + record["id"]
+            + ("" if record["year_last"] else year) + ',"authors":[' + authors + "]"
+            + (year if record["year_last"] else "") + record["extra"] + "}" + record["end"])
+
+
+def _encoded(record) -> list[bytes]:
+    """A line's bytes, once for each of ``INVALID_UTF8`` if it holds ``BAD``."""
+    line, placeholder = _render(record).encode(), BAD.encode()
+    if placeholder not in line:
+        return [line]
+    return [line.replace(placeholder, bad) for bad in INVALID_UTF8]
+
+
+def one_change_lines() -> list[bytes]:
+    """The clean line, each change of one of its parts, and each cut of it."""
+    records = []
+    for slot in range(len(_slots(_clean()))):
+        for text in STRING_TEXTS:
+            records.append(_clean())
+            container, key = _slots(records[-1])[slot]
+            container[key] = text
+    for author in range(2):
+        for text in AUTHOR_KEYS:
+            records.append(_clean())
+            records[-1]["authors"][author][0] = text
+    for author, affiliation in (0, 0), (0, 1), (1, 0):
+        for text in COUNTRY_TEXTS:
+            records.append(_clean())
+            records[-1]["authors"][author][1][affiliation][1] = text
+    for field, texts in FIELD_TEXTS.items():
+        for text in texts:
+            records.append({**_clean(), field: text})
+    for emptied in ([], [['"a1"', []]], [['"a1"', [['"i"', None]]], ['"a2"', []]]):
+        records.append({**_clean(), "authors": emptied})
+    records.append(_clean())
+    records[-1]["authors"].append(records[-1]["authors"][0])  # a repeated author
+    clean = _render(_clean()).encode()
+    return [line for record in records for line in _encoded(record)] + [
+        clean[:cut] for cut in range(1, len(clean))]
+
+
+def test_each_one_change_agrees_with_decode_line():
+    lines = one_change_lines()
+    assert [list(store_fields([line])) for line in lines] == [by_decode_line([line])
+                                                               for line in lines]
+
+
+def _set_slot(draw, record):
+    container, key = draw(st.sampled_from(_slots(record)))
+    container[key] = draw(st.sampled_from(STRING_TEXTS))
+
+
+def _set_author_key(draw, record):
+    if record["authors"]:
+        draw(st.sampled_from(record["authors"]))[0] = draw(st.sampled_from(AUTHOR_KEYS))
+
+
+def _set_country(draw, record):
+    affiliations = [aff for author in record["authors"] for aff in author[1]]
+    if affiliations:
+        draw(st.sampled_from(affiliations))[1] = draw(st.sampled_from(COUNTRY_TEXTS))
+
+
+def _set_field(draw, record):
+    field = draw(st.sampled_from(sorted(FIELD_TEXTS)))
+    record[field] = draw(st.sampled_from(FIELD_TEXTS[field]))
+
+
+def _empty(draw, record):
+    if not record["authors"] or draw(st.booleans()):
+        record["authors"] = []
+    else:
+        draw(st.sampled_from(record["authors"]))[1] = []
+
+
+MUTATIONS = [_set_slot, _set_author_key, _set_country, _set_field, _empty]
+
+
+@st.composite
+def compact_lines(draw):
+    """A line in :func:`record_to_json`'s layout with up to three of
+    ``MUTATIONS``, perhaps cut short; a repeated author repeats its object's text."""
+    name = st.sampled_from(NAMES).map(quoted)
+    authors = [[draw(name), [[draw(name), draw(st.sampled_from(COUNTRY_TEXTS[:4]))]
+                             for _ in range(draw(st.integers(1, 3)))]]
+               for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        authors.append(authors[0])
+    record = {**_clean(), "id": draw(name), "year": draw(st.sampled_from(["2020", "0", "-7"])),
+              "authors": authors}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2, 3]))):  # most lines are clean
+        draw(st.sampled_from(MUTATIONS))(draw, record)
+    line = draw(st.sampled_from(_encoded(record)))
+    if draw(st.integers(0, 19)) == 0:
+        line = line[:draw(st.integers(1, len(line) - 1))]
+    return line
+
+
+def test_grammar_agrees_with_decode_line(monkeypatch):
+    """For any lines, ``store_fields`` yields what ``_decode_line`` gives,
+    and at least half of the drawn lines take the grammar."""
+    decoded, drawn = [], []
+    monkeypatch.setattr(ingest, "_decode_line", lambda line: (decoded.append(line),
+                                                              _decode_line(line))[1])
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(compact_lines(), min_size=1, max_size=6))
+    def agree(lines):
+        drawn.extend(lines)
+        assert list(store_fields(lines)) == by_decode_line(lines)
+
+    agree()
+    assert len(drawn) - len(decoded) >= len(drawn) / 2, (len(drawn), len(decoded))
+
+
+def test_grammar_takes_record_to_json_lines(monkeypatch):
+    decoded = []
+    monkeypatch.setattr(ingest, "_decode_line", lambda line: (decoded.append(line),
+                                                              _decode_line(line))[1])
+    lines = b"".join(corpus_chunks(SyntheticSpec(200, 1.9, 500, seed=5))).splitlines(True)
+    assert list(store_fields(lines)) == by_decode_line(lines) and decoded == []
+
+
+def test_re_whitespace_is_str_isspace():
+    """The grammar's blank check reads re's ``\\s`` as :meth:`str.isspace`,
+    on every code point of the running Python's Unicode database."""
+    space = re.compile(r"\s").fullmatch
+    assert [hex(c) for c in range(sys.maxunicode + 1)
+            if bool(space(chr(c))) != chr(c).isspace()] == []
+
+
+def test_grammar_fails_in_linear_time():
+    """Lines that almost match fail the grammar in linear time: a 200 kB
+    blank institution, 20,000 authors without the closing brace, and 20,000
+    affiliations cut short go through ``store_fields`` in under a second."""
+    author = '{"author_id":"a","affiliations":[{"institution":"i","country":"c"}]}'
+    lines = [(head + tail).encode() for head, tail in [
+        ('{"schema_version":1,"id":"p","year":1,"authors":[',
+         '{"author_id":"a","affiliations":[{"institution":"' + " " * 200_000 + '"}]}]}\n'),
+        ('{"schema_version":1,"id":"p","year":1,"authors":[', ",".join([author] * 20_000) + "]\n"),
+        ('{"schema_version":1,"id":"p","year":1,"authors":[{"author_id":"a","affiliations":[',
+         ",".join(['{"institution":"i","country":"c"}'] * 20_000))]]
+    start = time.perf_counter()
+    fields = list(store_fields(lines))
+    assert time.perf_counter() - start < 1
+    assert fields == by_decode_line(lines) and all(type(f) is str for f in fields)
